@@ -20,9 +20,10 @@
 //! * [`EpochHandle`] — one tenant's session: an `Arc` of the view plus
 //!   private Dijkstra scratch. Handles are independent (`Send`), so any
 //!   number of them serve concurrently against one server; every route
-//!   is a pure function of `(artifact, view, pair)`, so the answers are
-//!   bit-identical to serving each pair alone through [`route_one`] no
-//!   matter how many tenants interleave (property-tested in
+//!   is the canonical route of `(artifact, view, pair)` (below), so the
+//!   answers are bit-identical to serving each pair alone through
+//!   [`route_one`] no matter how many tenants interleave or whether the
+//!   landmark table exists yet (property-tested in
 //!   `tests/epoch_server_props.rs`).
 //! * [`EpochDelta`] — the O(Δ) epoch transition: derive a child epoch
 //!   from a parent by listing only the components that *changed*
@@ -41,6 +42,31 @@
 //!   each submitter exactly the answers a private `route_batch` would
 //!   have produced.
 //!
+//! # Canonical routes and goal-directed search
+//!
+//! Every answer is the **canonical route**: among the shortest `from → to`
+//! paths in the view, the one in which each vertex's predecessor is its
+//! smallest-id *tight* predecessor (a live neighbor `u` with
+//! `dist(u) + w(u, v) = dist(v)`; see [`spanner_graph::dijkstra`]). It is
+//! a property of `(artifact, view, pair)` alone, not of the search that
+//! found it, which is what lets three different searches return it:
+//! [`route_one`] (canonical Dijkstra stopped at the target, the
+//! reference), the shared [`DijkstraEngine::search_from`] +
+//! [`DijkstraEngine::extract_path_into`] behind every batch, and A*.
+//!
+//! Single-pair session routes ([`EpochHandle::route`],
+//! [`EpochHandle::route_cost`]) run A* over a [`Landmarks`] table of
+//! [`LANDMARKS`] farthest-point landmarks on the fault-free spanner `H`.
+//! Faults only delete, so `dist_{H∖F} ≥ dist_H` and bounds computed once
+//! on `H` stay admissible and consistent in every epoch with no upkeep;
+//! the table lives on the server and serves every tenant and epoch. It
+//! is bought by rent-or-buy: single-pair routes run plain canonical
+//! Dijkstra and pay their settled vertices into
+//! [`ServerStats::route_settled`] until that passes `LANDMARKS · n`, the
+//! cost of computing the table, and then the table is built. A cold
+//! start's first route therefore never builds it, and the artifact does
+//! not carry it.
+//!
 //! # Worker pool and the `threads = 0` convention
 //!
 //! The pool lives on the server, not on any engine or handle, so every
@@ -58,35 +84,41 @@
 //! shared; each handle owns one Dijkstra engine + path scratch for its
 //! lifetime ([`EpochHandle::step`] moves them to the successor epoch);
 //! pool workers own theirs for the pool's lifetime; nothing in scratch
-//! can leak into answers because every path funnels through the same
-//! `route_one` / `serve_batch` implementations the sequential reference
-//! uses.
+//! can leak into answers because every search builds the same canonical
+//! shortest-path tree, whatever its scratch held before.
 
 use crate::frozen::MappedSpanner;
 use crate::routing::{Route, RouteError};
 use crate::FrozenSpanner;
 use spanner_faults::fingerprint::{component_hash, SetFingerprint};
 use spanner_faults::{FaultModel, FaultSet};
-use spanner_graph::{DijkstraEngine, Dist, EdgeId, FaultMask, NodeId, PathScratch};
+use spanner_graph::{
+    DijkstraEngine, Dist, EdgeId, FaultMask, Landmarks, NodeId, PathScratch, LANDMARKS,
+};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, Weak};
+use std::sync::{mpsc, Arc, Mutex, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Serves one pair against the frozen artifact under `mask`.
 ///
-/// This is the **reference implementation**: every serving path —
-/// [`EpochHandle::route`], sequential and pooled batches, the
-/// coalescer — funnels into it (directly or per settled source), so
-/// they cannot drift from it. It is public so harnesses and tests can
-/// serve a pair without opening a session: bring your own
-/// [`DijkstraEngine`], [`PathScratch`], and a mask over the *spanner's*
-/// ids (see [`FrozenSpanner::apply_faults`]).
+/// This is the **reference implementation**: a canonical Dijkstra
+/// stopped at `to`, returning the canonical route — the shortest path in
+/// which every vertex's predecessor is its smallest-id *tight*
+/// predecessor (see [`spanner_graph::dijkstra`]), so the route does not
+/// depend on how the search was ordered. Every serving path —
+/// [`EpochHandle::route`] (A* once the server has landmarks), sequential
+/// and pooled batches, the coalescer — returns exactly this answer. It
+/// is public so harnesses and tests can serve a pair without opening a
+/// session: bring your own [`DijkstraEngine`], [`PathScratch`], and a
+/// mask over the *spanner's* ids (see [`FrozenSpanner::apply_faults`]).
 ///
 /// # Errors
 ///
-/// [`RouteError::EndpointFailed`] if an endpoint is masked out;
+/// Endpoints are checked in order, `from` then `to`:
+/// [`RouteError::InvalidEndpoint`] if one is not a vertex of the
+/// artifact, [`RouteError::EndpointFailed`] if one is masked out. Then
 /// [`RouteError::Unreachable`] if the survivors are disconnected.
 pub fn route_one(
     frozen: &FrozenSpanner,
@@ -96,15 +128,37 @@ pub fn route_one(
     from: NodeId,
     to: NodeId,
 ) -> Result<Route, RouteError> {
-    for v in [from, to] {
-        if mask.is_vertex_faulted(v) {
-            return Err(RouteError::EndpointFailed(v));
-        }
-    }
-    if engine.shortest_path_bounded_into(frozen.csr(), from, to, Dist::INFINITE, mask, scratch) {
+    route_pair(frozen, engine, scratch, mask, (from, to), None)
+}
+
+/// [`route_one`], optionally goal-directed by `goal` (same answer).
+fn route_pair(
+    frozen: &FrozenSpanner,
+    engine: &mut DijkstraEngine,
+    scratch: &mut PathScratch,
+    mask: &FaultMask,
+    (from, to): (NodeId, NodeId),
+    goal: Option<&Landmarks>,
+) -> Result<Route, RouteError> {
+    check_endpoint(frozen, mask, from)?;
+    check_endpoint(frozen, mask, to)?;
+    engine.canonical_query(frozen.csr(), from, to, mask, goal);
+    if engine.extract_path_into(to, Dist::INFINITE, scratch) {
         Ok(route_from_scratch(scratch))
     } else {
         Err(RouteError::Unreachable { from, to })
+    }
+}
+
+/// The per-endpoint check every serving path applies: the vertex must
+/// exist in the artifact and be live in the view.
+fn check_endpoint(frozen: &FrozenSpanner, mask: &FaultMask, v: NodeId) -> Result<(), RouteError> {
+    if v.index() >= frozen.node_count() {
+        Err(RouteError::InvalidEndpoint(v))
+    } else if mask.is_vertex_faulted(v) {
+        Err(RouteError::EndpointFailed(v))
+    } else {
+        Ok(())
     }
 }
 
@@ -119,13 +173,12 @@ fn route_from_scratch(scratch: &PathScratch) -> Route {
 
 /// Serves a whole batch under `mask`, amortizing one Dijkstra search per
 /// **distinct source**: queries sharing a source are answered by a single
-/// [`DijkstraEngine::search_from`] plus per-target extraction, singleton
-/// sources by an early-stopped pair query. Answers land in input order
-/// and are bit-identical to serving every pair through [`route_one`]
-/// (Dijkstra settles each vertex once, so a settled target's path does
-/// not depend on where the search stopped — pinned by the property
-/// tests). Shared by the sequential batch path, the coalescer, and every
-/// pool worker.
+/// canonical [`DijkstraEngine::search_from`] plus per-target extraction,
+/// singleton sources by [`route_one`]. Answers land in input order and
+/// are bit-identical to serving every pair through [`route_one`] (a
+/// settled vertex's canonical parent does not depend on where the search
+/// stopped — pinned by the property tests). Shared by the sequential
+/// batch path, the coalescer, and every pool worker.
 pub(crate) fn serve_batch(
     frozen: &FrozenSpanner,
     engine: &mut DijkstraEngine,
@@ -151,22 +204,22 @@ pub(crate) fn serve_batch(
             out[i] = Some(route_one(frozen, engine, scratch, mask, from, to));
             continue;
         }
-        if mask.is_vertex_faulted(from) {
+        if let Err(e) = check_endpoint(frozen, mask, from) {
             for &i in group {
-                out[i as usize] = Some(Err(RouteError::EndpointFailed(from)));
+                out[i as usize] = Some(Err(e.clone()));
             }
             continue;
         }
         engine.search_from(frozen.csr(), from, Dist::INFINITE, mask);
         for &i in group {
             let to = pairs[i as usize].1;
-            out[i as usize] = Some(if mask.is_vertex_faulted(to) {
-                Err(RouteError::EndpointFailed(to))
-            } else if engine.extract_path_into(to, Dist::INFINITE, scratch) {
-                Ok(route_from_scratch(scratch))
-            } else {
-                Err(RouteError::Unreachable { from, to })
-            });
+            out[i as usize] = Some(check_endpoint(frozen, mask, to).and_then(|()| {
+                if engine.extract_path_into(to, Dist::INFINITE, scratch) {
+                    Ok(route_from_scratch(scratch))
+                } else {
+                    Err(RouteError::Unreachable { from, to })
+                }
+            }));
         }
     }
     out.into_iter()
@@ -181,9 +234,22 @@ pub(crate) fn serve_batch(
 pub struct EpochView {
     mask: FaultMask,
     fingerprint: SetFingerprint,
+    /// The mask's faults as sorted lists, so an interning hit can confirm
+    /// the fault set in O(|F|) instead of trusting the fingerprint.
+    vertices: Box<[NodeId]>,
+    edges: Box<[EdgeId]>,
 }
 
 impl EpochView {
+    fn new(mask: FaultMask, fingerprint: SetFingerprint) -> Self {
+        EpochView {
+            vertices: mask.faulted_vertices().collect(),
+            edges: mask.faulted_edges().collect(),
+            mask,
+            fingerprint,
+        }
+    }
+
     /// The fault mask this view serves under (spanner-graph ids).
     pub fn mask(&self) -> &FaultMask {
         &self.mask
@@ -197,7 +263,12 @@ impl EpochView {
 
     /// Total faulted components (vertices + spanner edges) in the view.
     pub fn fault_count(&self) -> usize {
-        self.mask.fault_count()
+        self.vertices.len() + self.edges.len()
+    }
+
+    /// Whether `other` faults exactly the same components, in O(|F|).
+    fn same_faults(&self, other: &EpochView) -> bool {
+        self.vertices == other.vertices && self.edges == other.edges
     }
 }
 
@@ -230,6 +301,14 @@ pub struct ServerStats {
     /// [`EpochHandle::step`] — grows with Σ|Δ|, **not** with `|F|` or
     /// `n` (the O(Δ) instrumentation).
     pub delta_component_ops: u64,
+    /// Vertices settled by session single-pair routes
+    /// ([`EpochHandle::route`] / [`EpochHandle::route_cost`]). Once it
+    /// passes `LANDMARKS · n` the server builds its landmark table, and
+    /// from then on it grows by the (much smaller) A* work per route.
+    pub route_settled: u64,
+    /// Landmark tables built: `0` until single-pair routes have paid for
+    /// one, then `1` for the server's lifetime.
+    pub landmarks_built: u64,
 }
 
 /// One pooled-batch work item: a chunk of pairs, the view to serve them
@@ -327,9 +406,30 @@ struct ServerInner {
     views_built: AtomicU64,
     views_shared: AtomicU64,
     delta_component_ops: AtomicU64,
+    route_settled: AtomicU64,
+    /// Landmark lower bounds on the fault-free spanner, built once by
+    /// rent-or-buy (see [`ServerInner::goal`]) and valid in every epoch.
+    landmarks: OnceLock<Landmarks>,
 }
 
 impl ServerInner {
+    /// The landmark table for single-pair routes, if it exists or has
+    /// been paid for. Rent-or-buy: plain canonical Dijkstra until the
+    /// server's single-pair routes have settled `LANDMARKS · n` vertices —
+    /// what building the table costs (one full search per landmark) — and
+    /// then build it. A cold start's first route settles at most `n` and
+    /// never builds it.
+    fn goal(&self) -> Option<&Landmarks> {
+        if let Some(landmarks) = self.landmarks.get() {
+            return Some(landmarks);
+        }
+        let rent = (LANDMARKS * self.frozen.node_count()) as u64;
+        (self.route_settled.load(Ordering::Relaxed) > rent).then(|| {
+            self.landmarks
+                .get_or_init(|| Landmarks::farthest_point(self.frozen.csr()))
+        })
+    }
+
     /// The worker count pooled batches will use (resolving the auto
     /// convention; see [`EpochServer::with_threads`]).
     fn resolved_threads(&self) -> usize {
@@ -360,9 +460,14 @@ impl ServerInner {
         let key = view.fingerprint.key();
         let mut table = self.views.lock().expect("view table lock");
         if let Some(live) = table.get(&key).and_then(Weak::upgrade) {
-            debug_assert_eq!(live.fault_count(), view.fault_count());
-            self.views_shared.fetch_add(1, Ordering::Relaxed);
-            return live;
+            if live.same_faults(&view) {
+                self.views_shared.fetch_add(1, Ordering::Relaxed);
+                return live;
+            }
+            // A fingerprint collision: serve this fault set from a view
+            // of its own rather than hand it another tenant's.
+            self.views_built.fetch_add(1, Ordering::Relaxed);
+            return Arc::new(view);
         }
         if table.len() > 32 {
             table.retain(|_, w| w.strong_count() > 0);
@@ -374,10 +479,24 @@ impl ServerInner {
     }
 
     /// Looks up a live view by fingerprint without materializing a mask
-    /// (the O(Δ) derive fast path).
-    fn lookup(&self, fingerprint: SetFingerprint) -> Option<Arc<EpochView>> {
-        let table = self.views.lock().expect("view table lock");
-        table.get(&fingerprint.key()).and_then(Weak::upgrade)
+    /// (the derive fast path); a hit counts only if `same_faults`
+    /// confirms its fault set.
+    fn lookup(
+        &self,
+        fingerprint: SetFingerprint,
+        same_faults: impl Fn(&EpochView) -> bool,
+    ) -> Option<Arc<EpochView>> {
+        let live = {
+            let table = self.views.lock().expect("view table lock");
+            table.get(&fingerprint.key()).and_then(Weak::upgrade)
+        };
+        live.filter(|view| same_faults(view))
+    }
+
+    /// Adds one single-pair route's settled vertices to the rent-or-buy
+    /// account.
+    fn count_settled(&self, settled: u64) {
+        self.route_settled.fetch_add(settled, Ordering::Relaxed);
     }
 
     /// Builds (or re-shares) the view for an explicitly materialized
@@ -385,7 +504,7 @@ impl ServerInner {
     fn open_view(self: &Arc<Self>, mask: FaultMask) -> Arc<EpochView> {
         self.epochs_opened.fetch_add(1, Ordering::Relaxed);
         let fingerprint = fingerprint_of_mask(&mask);
-        self.intern(EpochView { mask, fingerprint })
+        self.intern(EpochView::new(mask, fingerprint))
     }
 }
 
@@ -454,6 +573,8 @@ impl EpochServer {
                 views_built: AtomicU64::new(0),
                 views_shared: AtomicU64::new(0),
                 delta_component_ops: AtomicU64::new(0),
+                route_settled: AtomicU64::new(0),
+                landmarks: OnceLock::new(),
             }),
         }
     }
@@ -501,6 +622,8 @@ impl EpochServer {
             views_built: self.inner.views_built.load(Ordering::Relaxed),
             views_shared: self.inner.views_shared.load(Ordering::Relaxed),
             delta_component_ops: self.inner.delta_component_ops.load(Ordering::Relaxed),
+            route_settled: self.inner.route_settled.load(Ordering::Relaxed),
+            landmarks_built: u64::from(self.inner.landmarks.get().is_some()),
         }
     }
 
@@ -664,24 +787,32 @@ impl EpochHandle {
         }
     }
 
-    /// Routes `from → to` in this epoch.
+    /// Routes `from → to` in this epoch: the canonical route, identical
+    /// to [`route_one`]'s. Once the server's landmark table exists the
+    /// search is A* over it and settles a fraction of the vertices a
+    /// far-pair Dijkstra would.
     ///
     /// # Errors
     ///
-    /// [`RouteError::EndpointFailed`] if an endpoint is failed in this
-    /// view; [`RouteError::Unreachable`] if the survivors are
-    /// disconnected (which an `f`-FT spanner guarantees cannot happen
+    /// [`RouteError::InvalidEndpoint`] if an endpoint is not a vertex of
+    /// the artifact; [`RouteError::EndpointFailed`] if an endpoint is
+    /// failed in this view; [`RouteError::Unreachable`] if the survivors
+    /// are disconnected (which an `f`-FT spanner guarantees cannot happen
     /// while at most `f` components are down and the parent stays
     /// connected).
     pub fn route(&mut self, from: NodeId, to: NodeId) -> Result<Route, RouteError> {
-        route_one(
-            &self.inner.frozen,
+        let inner = &self.inner;
+        let before = self.engine.pop_count();
+        let answer = route_pair(
+            &inner.frozen,
             &mut self.engine,
             &mut self.path,
             &self.view.mask,
-            from,
-            to,
-        )
+            (from, to),
+            inner.goal(),
+        );
+        inner.count_settled(self.engine.pop_count() - before);
+        answer
     }
 
     /// Costs `from → to` in this epoch without extracting the path — no
@@ -691,20 +822,16 @@ impl EpochHandle {
     ///
     /// Same contract as [`EpochHandle::route`].
     pub fn route_cost(&mut self, from: NodeId, to: NodeId) -> Result<Dist, RouteError> {
-        for v in [from, to] {
-            if self.view.mask.is_vertex_faulted(v) {
-                return Err(RouteError::EndpointFailed(v));
-            }
-        }
-        self.engine
-            .dist_bounded(
-                self.inner.frozen.csr(),
-                from,
-                to,
-                Dist::INFINITE,
-                &self.view.mask,
-            )
-            .ok_or(RouteError::Unreachable { from, to })
+        let inner = &self.inner;
+        let mask = &self.view.mask;
+        check_endpoint(&inner.frozen, mask, from)?;
+        check_endpoint(&inner.frozen, mask, to)?;
+        let before = self.engine.pop_count();
+        let dist = self
+            .engine
+            .canonical_query(inner.frozen.csr(), from, to, mask, inner.goal());
+        inner.count_settled(self.engine.pop_count() - before);
+        dist.ok_or(RouteError::Unreachable { from, to })
     }
 
     /// Serves a whole batch against this epoch, one answer per pair in
@@ -822,12 +949,44 @@ fn derive_view(
     inner
         .delta_component_ops
         .fetch_add(delta.ops.len() as u64, Ordering::Relaxed);
-    if fingerprint == parent.fingerprint {
+    // A fingerprint hit is confirmed in O(|F|): the candidate must fault
+    // as many components as the derived set and each of them must be
+    // faulted there (parent state, overridden by the overlay).
+    let in_parent = |model: FaultModel, index: usize| match model {
+        FaultModel::Vertex => parent.mask.is_vertex_faulted(NodeId::new(index)),
+        FaultModel::Edge => parent.mask.is_edge_faulted(EdgeId::new(index)),
+    };
+    let derived_count = overlay.iter().fold(
+        parent.fault_count(),
+        |count, (&(model, index), &faulted)| match (in_parent(model, index), faulted) {
+            (false, true) => count + 1,
+            (true, false) => count - 1,
+            _ => count,
+        },
+    );
+    let faulted = |model: FaultModel, index: usize| {
+        overlay
+            .get(&(model, index))
+            .copied()
+            .unwrap_or_else(|| in_parent(model, index))
+    };
+    let same_faults = |view: &EpochView| {
+        view.fault_count() == derived_count
+            && view
+                .vertices
+                .iter()
+                .all(|v| faulted(FaultModel::Vertex, v.index()))
+            && view
+                .edges
+                .iter()
+                .all(|e| faulted(FaultModel::Edge, e.index()))
+    };
+    if fingerprint == parent.fingerprint && same_faults(parent) {
         // Net no-op delta: the parent view is the derived view.
         inner.views_shared.fetch_add(1, Ordering::Relaxed);
         return Arc::clone(parent);
     }
-    if let Some(live) = inner.lookup(fingerprint) {
+    if let Some(live) = inner.lookup(fingerprint, same_faults) {
         inner.views_shared.fetch_add(1, Ordering::Relaxed);
         return live;
     }
@@ -850,7 +1009,7 @@ fn derive_view(
         }
     }
     debug_assert_eq!(fingerprint_of_mask(&mask), fingerprint);
-    inner.intern(EpochView { mask, fingerprint })
+    inner.intern(EpochView::new(mask, fingerprint))
 }
 
 /// Fans one batch over the shared pool and reassembles the answers in
@@ -1288,6 +1447,124 @@ mod tests {
         let mask = faults.to_mask(8, server.artifact().edge_count());
         let by_mask = server.epoch_from_spanner_mask(&mask);
         assert!(Arc::ptr_eq(by_set.view(), by_mask.view()));
+    }
+
+    #[test]
+    fn out_of_range_endpoints_are_typed_on_every_entry() {
+        let frozen = artifact(6, 1);
+        let server = EpochServer::new(Arc::clone(&frozen)).with_threads(2);
+        let (bad, ok) = (NodeId::new(6), NodeId::new(0));
+        let invalid = Err(RouteError::InvalidEndpoint(bad));
+        let mask = FaultMask::with_capacity(frozen.node_count(), frozen.edge_count());
+        let mut handle = server.epoch_clear();
+        for (from, to) in [(bad, ok), (ok, bad), (bad, bad)] {
+            let one = route_one(
+                &frozen,
+                &mut DijkstraEngine::new(),
+                &mut PathScratch::new(),
+                &mask,
+                from,
+                to,
+            );
+            assert_eq!(one, invalid);
+            assert_eq!(handle.route(from, to), invalid);
+            assert_eq!(
+                handle.route_cost(from, to),
+                Err(RouteError::InvalidEndpoint(bad))
+            );
+        }
+        // Batches: a shared-source group, singletons, and a valid pair.
+        let pairs = [
+            (bad, ok),
+            (bad, NodeId::new(2)),
+            (ok, bad),
+            (ok, NodeId::new(3)),
+        ];
+        let batch = handle.route_batch(&pairs);
+        assert_eq!(
+            &batch[..3],
+            &[invalid.clone(), invalid.clone(), invalid.clone()]
+        );
+        assert!(batch[3].is_ok());
+        assert_eq!(handle.par_route_batch(&pairs), batch);
+        let mut front = BatchCoalescer::new(&server);
+        let ticket = front.submit(&handle, &pairs);
+        assert_eq!(front.flush()[ticket.index()], batch);
+        // The failed check comes after the range check, endpoint by endpoint.
+        let mut failed = server.epoch(&FaultSet::vertices([ok]));
+        assert_eq!(failed.route(bad, ok), invalid);
+        assert_eq!(failed.route(ok, bad), Err(RouteError::EndpointFailed(ok)));
+    }
+
+    #[test]
+    fn landmarks_are_bought_after_rent_and_keep_answers() {
+        let frozen = artifact(12, 1);
+        let server = EpochServer::new(Arc::clone(&frozen));
+        let pairs = all_pairs(12);
+        let failures = FaultSet::vertices([NodeId::new(4)]);
+        let mut handle = server.epoch(&failures);
+        let first = handle.route(NodeId::new(0), NodeId::new(11));
+        let stats = server.stats();
+        assert!(stats.route_settled > 0);
+        assert_eq!(stats.landmarks_built, 0, "a cold first route never builds");
+        let mut rounds = 0;
+        while server.stats().landmarks_built == 0 {
+            for &(u, v) in &pairs {
+                assert_eq!(
+                    handle.route(u, v),
+                    reference_route(&frozen, &failures, u, v)
+                );
+            }
+            rounds += 1;
+        }
+        assert!(server.stats().route_settled > (LANDMARKS * 12) as u64);
+        assert!(
+            rounds <= LANDMARKS * 12,
+            "every route settles at least its source"
+        );
+        assert_eq!(handle.route(NodeId::new(0), NodeId::new(11)), first);
+        for &(u, v) in &pairs {
+            assert_eq!(
+                handle.route(u, v),
+                reference_route(&frozen, &failures, u, v)
+            );
+            assert_eq!(handle.route_cost(u, v), handle.route(u, v).map(|r| r.dist));
+        }
+        assert_eq!(server.stats().landmarks_built, 1);
+        // Batches never pay into the rent-or-buy account.
+        let fresh = EpochServer::new(frozen);
+        let _ = fresh.epoch_clear().route_batch(&pairs);
+        assert_eq!(fresh.stats().route_settled, 0);
+    }
+
+    #[test]
+    fn fingerprint_collisions_never_share_a_view() {
+        let server = EpochServer::new(artifact(8, 1));
+        let edges = server.artifact().edge_count();
+        let mask_of = |v: usize| {
+            let mut mask = FaultMask::with_capacity(8, edges);
+            mask.fault_vertex(NodeId::new(v));
+            mask
+        };
+        // Forge a view faulting {7} under the fingerprint of {5}.
+        let forged = server
+            .inner
+            .intern(EpochView::new(mask_of(7), fingerprint_of_mask(&mask_of(5))));
+        // A delta {2} -> {5} lands on the forged key; the lookup and the
+        // intern behind it must both refuse the forged view.
+        let base = server.epoch(&FaultSet::vertices([NodeId::new(2)]));
+        let mut delta = EpochDelta::new();
+        delta
+            .restore_vertex(NodeId::new(2))
+            .fault_vertex(NodeId::new(5));
+        let derived = base.derive(&delta);
+        assert!(!Arc::ptr_eq(derived.view(), &forged));
+        assert_eq!(derived.view().mask(), &mask_of(5));
+        // So must a from-scratch epoch of {5}.
+        let direct = server.epoch(&FaultSet::vertices([NodeId::new(5)]));
+        assert!(!Arc::ptr_eq(direct.view(), &forged));
+        assert_eq!(direct.view().mask(), &mask_of(5));
+        assert_eq!(server.stats().views_shared, 0);
     }
 
     #[test]

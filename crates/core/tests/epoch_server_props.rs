@@ -13,13 +13,23 @@
 //! fault set, and pin the instrumented delta counter to Σ|Δ| — the
 //! serving-side work is proportional to the change, never to `|F|` or
 //! `n`.
+//!
+//! Goal-directed serving adds a second state the answers must not see:
+//! before the server has bought its landmark table, session routes are
+//! canonical Dijkstra; after, they are A*. On unit-weight graphs (ties
+//! everywhere) and weighted geometric graphs, every path — `route`,
+//! `route_cost`, `route_batch`, `par_route_batch` and a coalescer flush —
+//! must equal [`route_one`] in both states.
 
 use proptest::prelude::*;
 use spanner_core::routing::{Route, RouteError};
 use spanner_core::serve::route_one;
 use spanner_core::{BatchCoalescer, EpochDelta, EpochServer, FrozenSpanner, FtGreedy};
 use spanner_faults::{FaultModel, FaultSet};
-use spanner_graph::{DijkstraEngine, EdgeId, FaultMask, Graph, NodeId, PathScratch, Weight};
+use spanner_graph::generators::graph_of_points;
+use spanner_graph::{
+    DijkstraEngine, EdgeId, FaultMask, Graph, Landmarks, NodeId, PathScratch, Weight,
+};
 use std::sync::Arc;
 
 /// Serves every pair alone through the primitive reference — one fresh
@@ -64,6 +74,90 @@ fn arb_graph(max_n: usize, max_w: u64) -> impl Strategy<Value = Graph> {
                 g
             })
     })
+}
+
+/// Random geometric graphs: points in the unit square joined within a
+/// radius, weighted by scaled Euclidean length — few ties, and often
+/// several components.
+fn arb_geometric(max_n: usize) -> impl Strategy<Value = Graph> {
+    (6..=max_n)
+        .prop_flat_map(|n| proptest::collection::vec((0.0..1.0f64, 0.0..1.0f64), n))
+        .prop_map(|points| graph_of_points(&points, 0.45))
+}
+
+/// Serves `pairs` for every tenant through every serving path of
+/// `server` and compares each answer with the reference over `fresh`.
+/// The server must be configured with at least two pool threads, so
+/// `par_route_batch` and the flush really fan out.
+fn every_path_matches_reference(
+    server: &EpochServer,
+    fresh: &FrozenSpanner,
+    tenants: &[FaultSet],
+    pairs: &[(NodeId, NodeId)],
+) -> Result<(), TestCaseError> {
+    let mut front = BatchCoalescer::new(server);
+    let mut tickets = Vec::new();
+    for faults in tenants {
+        let expected = reference_answers(fresh, faults, pairs);
+        let mut session = server.epoch(faults);
+        let routed: Vec<_> = pairs.iter().map(|&(u, v)| session.route(u, v)).collect();
+        prop_assert_eq!(&routed, &expected, "route under {:?}", faults);
+        for (&(u, v), want) in pairs.iter().zip(&expected) {
+            let cost = session.route_cost(u, v);
+            prop_assert_eq!(cost, want.clone().map(|r| r.dist), "cost {}->{}", u, v);
+        }
+        prop_assert_eq!(&session.route_batch(pairs), &expected, "route_batch");
+        prop_assert_eq!(
+            &session.par_route_batch(pairs),
+            &expected,
+            "par_route_batch"
+        );
+        tickets.push((front.submit(&session, pairs), expected));
+    }
+    let flushed = front.flush();
+    for (ticket, expected) in tickets {
+        prop_assert_eq!(&flushed[ticket.index()], &expected, "coalescer");
+    }
+    Ok(())
+}
+
+/// Builds an `f`-FT spanner of `g` and checks every serving path against
+/// the reference twice: on a fresh server (whose first route must not
+/// build the landmark table) and after single-pair routes have paid for
+/// the table.
+fn canonical_before_and_after_landmarks(
+    g: &Graph,
+    f: usize,
+    model: FaultModel,
+    tenant_raw: &[Vec<u32>],
+) -> Result<(), TestCaseError> {
+    let spanner = FtGreedy::new(g, 3)
+        .faults(f)
+        .model(model)
+        .run()
+        .into_spanner();
+    let fresh = spanner.freeze();
+    let server = EpochServer::new(Arc::new(spanner.freeze())).with_threads(2);
+    let tenants: Vec<FaultSet> = tenant_raw
+        .iter()
+        .map(|raw| fault_set(model, raw, g))
+        .collect();
+    let pairs: Vec<_> = all_pairs(g.node_count())
+        .into_iter()
+        .chain([(NodeId::new(1), NodeId::new(1))])
+        .collect();
+    let mut clear = server.epoch_clear();
+    let _ = clear.route(NodeId::new(0), NodeId::new(g.node_count() - 1));
+    prop_assert_eq!(
+        server.stats().landmarks_built,
+        0,
+        "cold first route built the table"
+    );
+    every_path_matches_reference(&server, &fresh, &tenants, &pairs)?;
+    while server.stats().landmarks_built == 0 {
+        let _ = clear.route(NodeId::new(0), NodeId::new(g.node_count() - 1));
+    }
+    every_path_matches_reference(&server, &fresh, &tenants, &pairs)
 }
 
 fn all_pairs(n: usize) -> Vec<(NodeId, NodeId)> {
@@ -128,6 +222,62 @@ proptest! {
         for (tenant, faults) in tenants.iter().enumerate() {
             let expected = reference_answers(&fresh, faults, &pairs);
             prop_assert_eq!(&answers[tenant], &expected, "tenant {}", tenant);
+        }
+    }
+
+    /// Canonical routes on unit weights, where nearly every pair has
+    /// several shortest paths: goal-directed, batch, pooled and coalesced
+    /// serving all pick the reference's, before and after landmarks.
+    #[test]
+    fn unit_weight_routes_match_the_reference_before_and_after_landmarks(
+        g in arb_graph(9, 1),
+        f in 0usize..3,
+        edge_model in any::<bool>(),
+        tenant_raw in proptest::collection::vec(
+            proptest::collection::vec(any::<u32>(), 0..3), 1..4),
+    ) {
+        let model = if edge_model { FaultModel::Edge } else { FaultModel::Vertex };
+        canonical_before_and_after_landmarks(&g, f, model, &tenant_raw)?;
+    }
+
+    /// The same identity on weighted geometric graphs, whose landmark
+    /// table must also split components.
+    #[test]
+    fn geometric_routes_match_the_reference_before_and_after_landmarks(
+        g in arb_geometric(14),
+        f in 0usize..3,
+        edge_model in any::<bool>(),
+        tenant_raw in proptest::collection::vec(
+            proptest::collection::vec(any::<u32>(), 0..3), 1..4),
+    ) {
+        let model = if edge_model { FaultModel::Edge } else { FaultModel::Vertex };
+        canonical_before_and_after_landmarks(&g, f, model, &tenant_raw)?;
+    }
+
+    /// Landmark bounds computed once on the fault-free spanner stay below
+    /// the true distance in every faulted view of it (faults only delete).
+    #[test]
+    fn landmark_bounds_are_admissible_under_faults(
+        g in arb_geometric(14),
+        f in 0usize..3,
+        edge_model in any::<bool>(),
+        raw in proptest::collection::vec(any::<u32>(), 0..3),
+    ) {
+        let model = if edge_model { FaultModel::Edge } else { FaultModel::Vertex };
+        let frozen = FtGreedy::new(&g, 3).faults(f).model(model).run().freeze(&g);
+        let landmarks = Landmarks::farthest_point(frozen.csr());
+        let mut mask = FaultMask::with_capacity(frozen.node_count(), frozen.edge_count());
+        frozen.apply_faults(&fault_set(model, &raw, &g), &mut mask);
+        let mut engine = DijkstraEngine::new();
+        for v in (0..g.node_count()).map(NodeId::new) {
+            if mask.is_vertex_faulted(v) {
+                continue;
+            }
+            let exact = engine.sssp(frozen.csr(), v, &mask);
+            for t in (0..g.node_count()).map(NodeId::new) {
+                let bound = landmarks.lower_bound(v, t);
+                prop_assert!(bound <= exact[t.index()], "{}->{}: {} > {}", v, t, bound, exact[t.index()]);
+            }
         }
     }
 

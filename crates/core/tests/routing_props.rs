@@ -5,7 +5,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spanner_core::routing::RouteError;
 use spanner_core::simulation::{simulate, SimulationConfig};
-use spanner_core::{EpochServer, FtGreedy};
+use spanner_core::{BatchCoalescer, EpochServer, FtGreedy};
 use spanner_faults::{FaultModel, FaultSet};
 use spanner_graph::{Graph, NodeId, Weight};
 use std::sync::Arc;
@@ -89,6 +89,50 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// An endpoint outside the artifact is `route/invalid-endpoint` on
+    /// every serving entry — never `route/unreachable`, never a panic —
+    /// checked endpoint by endpoint, source first, range before faults.
+    #[test]
+    fn out_of_range_endpoints_are_invalid_on_every_entry(
+        g in arb_graph(8, 4),
+        beyond in 0usize..4,
+        faults in proptest::collection::vec(any::<u32>(), 0..3),
+        bad_source in any::<bool>(),
+    ) {
+        let n = g.node_count();
+        let frozen = Arc::new(FtGreedy::new(&g, 3).faults(1).run().freeze(&g));
+        let server = EpochServer::new(Arc::clone(&frozen)).with_threads(2);
+        let fault_set = FaultSet::vertices(faults.iter().map(|f| NodeId::new(*f as usize % n)));
+        let mut session = server.epoch(&fault_set);
+        let bad = NodeId::new(n + beyond);
+        let mut pairs = Vec::new();
+        let mut expected = Vec::new();
+        for other in (0..n).map(NodeId::new) {
+            let failed = fault_set.vertex_faults().contains(&other);
+            let (pair, err) = if bad_source {
+                ((bad, other), RouteError::InvalidEndpoint(bad))
+            } else if failed {
+                ((other, bad), RouteError::EndpointFailed(other))
+            } else {
+                ((other, bad), RouteError::InvalidEndpoint(bad))
+            };
+            prop_assert_eq!(session.route(pair.0, pair.1), Err(err.clone()));
+            prop_assert_eq!(session.route_cost(pair.0, pair.1), Err(err.clone()));
+            prop_assert_eq!(err.code(), if failed && !bad_source {
+                "route/endpoint-failed"
+            } else {
+                "route/invalid-endpoint"
+            });
+            pairs.push(pair);
+            expected.push(Err(err));
+        }
+        prop_assert_eq!(&session.route_batch(&pairs), &expected);
+        prop_assert_eq!(&session.par_route_batch(&pairs), &expected);
+        let mut front = BatchCoalescer::new(&server);
+        let ticket = front.submit(&session, &pairs);
+        prop_assert_eq!(&front.flush()[ticket.index()], &expected);
     }
 
     /// Simulation invariants hold for arbitrary (sane) configurations.
