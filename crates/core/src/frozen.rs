@@ -60,6 +60,7 @@ use spanner_faults::{FaultModel, FaultSet};
 use spanner_graph::bytes::{read_u32_at, read_u64_at, SharedBytes};
 use spanner_graph::io::binary::{self, put_u32, put_u64, BinaryError, ByteReader, ContainerWriter};
 use spanner_graph::{EdgeId, FaultMask, FrozenCsr, Graph, GraphView, NodeId};
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -208,102 +209,74 @@ fn inconsistent(context: &'static str, detail: String) -> ArtifactError {
 /// Sentinel in the parent→spanner edge map for "not kept".
 const NOT_KEPT: u32 = u32::MAX;
 
-/// The spanner↔parent edge translation tables: owned `Vec`s (freeze and
-/// v1 decode) or in-place reads over a shared v2 buffer (the open path).
-/// Both store the forward table (spanner edge → parent edge id) and the
-/// precomputed inverse, in the same canonical byte format.
+/// The spanner↔parent edge translation tables, read in place from
+/// their canonical `PARENT_EDGES` section bytes: `fwd_count u64`, the
+/// forward table (spanner edge → parent edge id, one `u32` each), then
+/// `inv_count u64` and the precomputed inverse (parent edge → spanner
+/// edge or `NOT_KEPT`). A freeze and a v1 decode write those bytes with
+/// [`TranslationTables::write`]; a v2 decode or open validates them
+/// where they lie ([`validate_tables_v2`]).
+///
+/// Both directions travel in the artifact. The inverse is derivable
+/// from the forward table, but *storing* it is what keeps decode's
+/// allocations bounded by the input: its length is guarded against the
+/// bytes actually present, where a re-derived table would be sized by an
+/// attacker-controlled maximum id (a crafted 100-byte file claiming
+/// parent edge 0xfffffffe must not conjure a 16 GiB allocation).
 #[derive(Clone, Debug)]
-enum TranslationTables {
-    Owned {
-        parent_edges: Vec<EdgeId>,
-        spanner_of_parent: Vec<u32>,
-    },
-    Bytes {
-        bytes: SharedBytes,
-        /// Absolute section range inside `bytes` (raw re-encode).
-        at: usize,
-        len: usize,
-        fwd_count: usize,
-        inv_count: usize,
-    },
+struct TranslationTables {
+    bytes: SharedBytes,
+    /// Absolute section range inside `bytes`.
+    at: usize,
+    len: usize,
+    fwd_count: usize,
+    inv_count: usize,
 }
 
 impl TranslationTables {
-    fn fwd_len(&self) -> usize {
-        match self {
-            TranslationTables::Owned { parent_edges, .. } => parent_edges.len(),
-            TranslationTables::Bytes { fwd_count, .. } => *fwd_count,
+    /// Writes the canonical payload of a forward table and its inverse
+    /// into a fresh aligned buffer. The caller vouches that
+    /// `spanner_of_parent` is the inverse of `parent_edges`.
+    fn write(parent_edges: &[EdgeId], spanner_of_parent: &[u32]) -> Self {
+        let len = 16 + 4 * (parent_edges.len() + spanner_of_parent.len());
+        let bytes = SharedBytes::write_aligned(len, |out| {
+            put_u64(out, parent_edges.len() as u64);
+            for id in parent_edges {
+                put_u32(out, id.raw());
+            }
+            put_u64(out, spanner_of_parent.len() as u64);
+            for own in spanner_of_parent {
+                put_u32(out, *own);
+            }
+        });
+        TranslationTables {
+            bytes,
+            at: 0,
+            len,
+            fwd_count: parent_edges.len(),
+            inv_count: spanner_of_parent.len(),
         }
     }
 
     /// Parent edge id of spanner edge `i`. Panics if `i` is out of range.
     fn fwd(&self, i: usize) -> EdgeId {
-        match self {
-            TranslationTables::Owned { parent_edges, .. } => parent_edges[i],
-            TranslationTables::Bytes {
-                bytes,
-                at,
-                fwd_count,
-                ..
-            } => {
-                assert!(i < *fwd_count, "spanner edge out of range");
-                EdgeId::from(read_u32_at(bytes.as_slice(), at + 8 + 4 * i))
-            }
-        }
-    }
-
-    fn inv_len(&self) -> usize {
-        match self {
-            TranslationTables::Owned {
-                spanner_of_parent, ..
-            } => spanner_of_parent.len(),
-            TranslationTables::Bytes { inv_count, .. } => *inv_count,
-        }
+        assert!(i < self.fwd_count, "spanner edge out of range");
+        EdgeId::from(read_u32_at(self.bytes.as_slice(), self.at + 8 + 4 * i))
     }
 
     /// Inverse slot of parent edge `s` (`NOT_KEPT` when not kept).
     /// Panics if `s` is out of range.
     fn inv(&self, s: usize) -> u32 {
-        match self {
-            TranslationTables::Owned {
-                spanner_of_parent, ..
-            } => spanner_of_parent[s],
-            TranslationTables::Bytes {
-                bytes,
-                at,
-                fwd_count,
-                inv_count,
-                ..
-            } => {
-                assert!(s < *inv_count, "parent edge slot out of range");
-                read_u32_at(bytes.as_slice(), at + 16 + 4 * fwd_count + 4 * s)
-            }
-        }
+        assert!(s < self.inv_count, "parent edge slot out of range");
+        read_u32_at(
+            self.bytes.as_slice(),
+            self.at + 16 + 4 * self.fwd_count + 4 * s,
+        )
     }
 
     /// The canonical `PARENT_EDGES` section payload.
-    fn payload(&self) -> Vec<u8> {
-        match self {
-            TranslationTables::Owned {
-                parent_edges,
-                spanner_of_parent,
-            } => {
-                let mut out =
-                    Vec::with_capacity(16 + 4 * (parent_edges.len() + spanner_of_parent.len()));
-                put_u64(&mut out, parent_edges.len() as u64);
-                for id in parent_edges {
-                    put_u32(&mut out, id.raw());
-                }
-                put_u64(&mut out, spanner_of_parent.len() as u64);
-                for own in spanner_of_parent {
-                    put_u32(&mut out, *own);
-                }
-                out
-            }
-            TranslationTables::Bytes { bytes, at, len, .. } => {
-                bytes.as_slice()[*at..*at + *len].to_vec()
-            }
-        }
+    fn payload(&self) -> &[u8] {
+        &self.bytes.as_slice()[self.at..self.at + self.len]
     }
 }
 
@@ -411,16 +384,13 @@ impl FrozenSpanner {
         model: FaultModel,
         witnesses: Vec<FaultSet>,
     ) -> Self {
-        let parent_edges = spanner.parent_edge_ids().to_vec();
+        let parent_edges = spanner.parent_edge_ids();
         let spanner_of_parent =
-            inverse_translation(parent.as_ref().map(|p| p.edge_count()), &parent_edges);
+            inverse_translation(parent.as_ref().map(|p| p.edge_count()), parent_edges);
         FrozenSpanner {
             csr: FrozenCsr::from_view(spanner.graph()),
+            tables: TranslationTables::write(parent_edges, &spanner_of_parent),
             parent: parent.map_or(ParentStore::None, ParentStore::Eager),
-            tables: TranslationTables::Owned {
-                parent_edges,
-                spanner_of_parent,
-            },
             stretch: spanner.stretch(),
             budget,
             model,
@@ -466,12 +436,6 @@ impl FrozenSpanner {
     /// ([`ARTIFACT_VERSION`] or [`ARTIFACT_VERSION_V2`]).
     pub fn version(&self) -> u32 {
         self.version
-    }
-
-    /// Whether this artifact serves its packed tables in place from a
-    /// shared buffer (the [`FrozenSpanner::open`] path).
-    pub fn is_in_place(&self) -> bool {
-        self.csr.is_in_place()
     }
 
     /// Whether the witness section was detached at build time
@@ -673,7 +637,7 @@ impl FrozenSpanner {
 
     /// All kept parent edge ids, in spanner edge-id order.
     pub fn parent_edge_ids(&self) -> impl Iterator<Item = EdgeId> + '_ {
-        (0..self.tables.fwd_len()).map(move |i| self.tables.fwd(i))
+        (0..self.tables.fwd_count).map(move |i| self.tables.fwd(i))
     }
 
     /// The spanner copy of a parent edge, if it was kept (O(1), unlike
@@ -681,7 +645,7 @@ impl FrozenSpanner {
     /// [`Spanner`] would need).
     pub fn spanner_edge_of_parent(&self, parent_edge: EdgeId) -> Option<EdgeId> {
         let s = parent_edge.index();
-        if s >= self.tables.inv_len() {
+        if s >= self.tables.inv_count {
             return None;
         }
         match self.tables.inv(s) {
@@ -996,8 +960,8 @@ fn parse_parent_payload(payload: &[u8]) -> Result<Graph, ArtifactError> {
     Ok(graph)
 }
 
-/// Validates a v2 `PARENT_EDGES` section **in place** and returns a
-/// borrowed table view. O(fwd + inv) scans, no allocation sized by the
+/// Validates a v2 `PARENT_EDGES` section **in place** and returns the
+/// table view over it. O(fwd + inv) scans, no allocation sized by the
 /// input. The checks pin the stored inverse to exactly the inverse
 /// function of the forward table (back-pointer agreement + a kept-slot
 /// census that also proves the forward table injective), and — when no
@@ -1090,7 +1054,7 @@ fn validate_tables_v2(
             format!("inverse has {inv_count} slots, canonical is {max_fwd_plus1}"),
         ));
     }
-    Ok(TranslationTables::Bytes {
+    Ok(TranslationTables {
         bytes: bytes.clone(),
         at,
         len,
@@ -1146,15 +1110,6 @@ impl FrozenSpanner {
         let mut spanner = Vec::new();
         binary::write_view_payload(&self.csr, &mut spanner);
 
-        // Both translation directions travel in the bytes. The inverse
-        // is derivable from the forward table, but *storing* it is what
-        // keeps decode's allocations bounded by the input: its length is
-        // then guarded against the bytes actually present, where a
-        // re-derived table would be sized by an attacker-controlled
-        // maximum id (a crafted 100-byte file claiming parent edge
-        // 0xfffffffe must not conjure a 16 GiB allocation).
-        let parent_edges = self.tables.payload();
-
         let sets = match &self.witnesses {
             WitnessStore::Eager(sets) => sets,
             // v1 artifacts are always eagerly decoded; lazy or detached
@@ -1166,7 +1121,7 @@ impl FrozenSpanner {
         let mut w = ContainerWriter::new(ARTIFACT_MAGIC, ARTIFACT_VERSION);
         w.section(SECTION_META, &self.meta_payload())
             .section(SECTION_SPANNER, &spanner)
-            .section(SECTION_PARENT_EDGES, &parent_edges)
+            .section(SECTION_PARENT_EDGES, self.tables.payload())
             .section(SECTION_WITNESSES, &witnesses);
         if let ParentStore::Eager(parent) = &self.parent {
             let mut payload = Vec::new();
@@ -1187,20 +1142,18 @@ impl FrozenSpanner {
         }
         let mut w = binary::ContainerWriterV2::new(ARTIFACT_MAGIC, ARTIFACT_VERSION_V2, flags);
         w.section(SECTION_META, self.meta_payload());
-        let mut spanner = Vec::with_capacity(self.csr.payload_v2_len());
-        self.csr.write_payload_v2(&mut spanner);
-        w.section(SECTION_SPANNER, spanner);
+        w.section(SECTION_SPANNER, self.csr.payload());
         w.section(SECTION_PARENT_EDGES, self.tables.payload());
         // The witness index (tag 6) sorts after the parent section (tag
         // 5) in the canonical ascending-tag order, so it is held back
         // here and emitted last.
-        let mut witness_index: Option<Vec<u8>> = None;
+        let mut witness_index: Option<Cow<[u8]>> = None;
         match &self.witnesses {
             WitnessStore::Eager(sets) => {
                 if self.sharded {
                     let (payload, idx) = witness_payload_sharded(sets);
                     w.section(SECTION_WITNESSES, payload);
-                    witness_index = Some(idx);
+                    witness_index = Some(Cow::Owned(idx));
                 } else {
                     w.section(SECTION_WITNESSES, witness_payload(sets));
                 }
@@ -1208,10 +1161,7 @@ impl FrozenSpanner {
             // Lazily-held sections re-emit their raw (validated) bytes,
             // so re-encoding never forces a decode and stays canonical.
             WitnessStore::Lazy { bytes, at, len, .. } => {
-                w.section(
-                    SECTION_WITNESSES,
-                    bytes.as_slice()[*at..*at + *len].to_vec(),
-                );
+                w.section(SECTION_WITNESSES, &bytes.as_slice()[*at..*at + *len]);
             }
             WitnessStore::Sharded {
                 bytes,
@@ -1222,8 +1172,8 @@ impl FrozenSpanner {
                 ..
             } => {
                 let data = bytes.as_slice();
-                w.section(SECTION_WITNESSES, data[*at..*at + *len].to_vec());
-                witness_index = Some(data[*idx_at..*idx_at + *idx_len].to_vec());
+                w.section(SECTION_WITNESSES, &data[*at..*at + *len]);
+                witness_index = Some(Cow::Borrowed(&data[*idx_at..*idx_at + *idx_len]));
             }
             WitnessStore::Detached => {}
         }
@@ -1235,7 +1185,7 @@ impl FrozenSpanner {
                 w.section(SECTION_PARENT, payload);
             }
             ParentStore::Lazy { bytes, at, len, .. } => {
-                w.section(SECTION_PARENT, bytes.as_slice()[*at..*at + *len].to_vec());
+                w.section(SECTION_PARENT, &bytes.as_slice()[*at..*at + *len]);
             }
         }
         if let Some(idx) = witness_index {
@@ -1497,10 +1447,7 @@ impl FrozenSpanner {
         Ok(FrozenSpanner {
             csr,
             parent: parent.map_or(ParentStore::None, ParentStore::Eager),
-            tables: TranslationTables::Owned {
-                parent_edges,
-                spanner_of_parent,
-            },
+            tables: TranslationTables::write(&parent_edges, &spanner_of_parent),
             stretch,
             budget,
             model,
@@ -1574,11 +1521,12 @@ impl FrozenSpanner {
 
         let meta = parse_meta_payload(section_bytes(require(SECTION_META, "meta")?))?;
 
-        // SPANNER: validated in place — alignment, counts, ranges, and
-        // adjacency ≡ canonical derivation — then *borrowed*, not
-        // rebuilt.
+        // SPANNER: validated in place — alignment, counts, ranges,
+        // adjacency ≡ canonical derivation, no duplicate edges — then
+        // read where it lies, not rebuilt.
         let sp = require(SECTION_SPANNER, "spanner adjacency")?;
         let csr = FrozenCsr::from_bytes(shared.clone(), sp.offset, sp.len)?;
+        csr.check_simple()?;
         if csr.node_count() != meta.node_count || csr.edge_count() != meta.edge_count {
             return Err(inconsistent(
                 "spanner shape",
@@ -1724,17 +1672,17 @@ impl FrozenSpanner {
         }
         // Canonical inverse size when a parent travels with the
         // artifact: one slot per parent edge.
-        if self.tables.inv_len() != parent.edge_count() {
+        if self.tables.inv_count != parent.edge_count() {
             return Err(inconsistent(
                 "parent-edge table",
                 format!(
                     "inverse has {} slots, parent has {} edges",
-                    self.tables.inv_len(),
+                    self.tables.inv_count,
                     parent.edge_count()
                 ),
             ));
         }
-        for own in 0..self.tables.fwd_len() {
+        for own in 0..self.tables.fwd_count {
             let parent_id = self.tables.fwd(own);
             if parent_id.index() >= parent.edge_count() {
                 return Err(inconsistent(
@@ -1904,6 +1852,99 @@ mod tests {
             Some(EdgeId::new(1))
         );
         assert_eq!(back.spanner_edge_of_parent(EdgeId::new(0)), None);
+
+        // Every freeze is canonical: for every generator family, the
+        // empty graph and an incremental view with appends still
+        // pending, the frozen CSR's bytes are exactly the v2 artifact's
+        // SPANNER section and what a v1 decode rebuilds from the edge
+        // list, and they serve Dijkstra under faults exactly like the
+        // source graph.
+        use rand::SeedableRng;
+        use spanner_graph::{
+            generators as gen, DijkstraEngine, Dist, IncrementalCsr, SharedBytes, Weight,
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+        let geometric = gen::random_geometric(40, 0.3, &mut rng);
+        let graphs = vec![
+            gen::complete(7),
+            gen::complete_bipartite(3, 4),
+            gen::path(6),
+            gen::star(5),
+            gen::grid(4, 5),
+            gen::hypercube(3),
+            gen::petersen(),
+            gen::generalized_petersen(7, 2),
+            gen::with_uniform_weights(&geometric, 1, 9, &mut rng),
+            gen::cartesian_product(&gen::cycle(3), &gen::path(4)),
+            gen::erdos_renyi(30, 0.2, &mut rng),
+            gen::gnm(25, 60, &mut rng),
+            gen::random_regular(20, 3, &mut rng),
+            gen::preferential_attachment(30, 2, &mut rng),
+            gen::watts_strogatz(30, 4, 0.2, &mut rng),
+            gen::with_constant_weight(&gen::cycle(8), Weight::new(3).unwrap()),
+            Graph::new(0),
+        ];
+        let mut pending = IncrementalCsr::new(6);
+        let mut mirror = Graph::new(6);
+        for (u, v) in [
+            (0usize, 1usize),
+            (1, 2),
+            (2, 3),
+            (3, 4),
+            (4, 5),
+            (5, 0),
+            (1, 4),
+        ] {
+            pending.push_edge(NodeId::new(u), NodeId::new(v), Weight::UNIT);
+            mirror.add_edge_unchecked(NodeId::new(u), NodeId::new(v), Weight::UNIT);
+        }
+        assert!(pending.pending_len() > 0, "appends must still be pending");
+        let mut cases: Vec<(FrozenCsr, Graph)> = graphs
+            .into_iter()
+            .map(|g| (FrozenCsr::from_view(&g), g))
+            .collect();
+        cases.push((FrozenCsr::from_view(&pending), mirror));
+        for (i, (frozen, g)) in cases.iter().enumerate() {
+            let bare = Spanner::from_parent_edges(g, g.edge_ids(), 3).freeze();
+            let v1_decoded = FrozenSpanner::decode(&bare.encode()).unwrap();
+            assert_eq!(v1_decoded.csr().payload(), frozen.payload(), "graph {i}");
+            let v2 = bare.to_v2().encode();
+            let container =
+                binary::parse_container_v2(&v2, ARTIFACT_MAGIC, ARTIFACT_VERSION_V2, 0).unwrap();
+            let sp = container.section(SECTION_SPANNER).unwrap();
+            assert_eq!(
+                frozen.payload(),
+                &v2[sp.offset..sp.offset + sp.len],
+                "graph {i}"
+            );
+            let opened = FrozenSpanner::open(SharedBytes::copy_aligned(&v2)).unwrap();
+            assert_eq!(opened.encode(), v2, "graph {i}");
+
+            let n = g.node_count();
+            let mut mask = FaultMask::for_graph(g);
+            if n > 2 {
+                mask.fault_vertex(NodeId::new(n / 2));
+            }
+            if g.edge_count() > 1 {
+                mask.fault_edge(EdgeId::new(1));
+            }
+            let mut engine = DijkstraEngine::new();
+            for (s, t) in [
+                (0, n.saturating_sub(1)),
+                (1, n / 3),
+                (n / 4, n.saturating_sub(2)),
+            ] {
+                if s >= n || t >= n {
+                    continue;
+                }
+                let (s, t) = (NodeId::new(s), NodeId::new(t));
+                assert_eq!(
+                    engine.shortest_path_bounded(frozen, s, t, Dist::INFINITE, &mask),
+                    engine.shortest_path_bounded(g, s, t, Dist::INFINITE, &mask),
+                    "graph {i} pair ({s},{t})"
+                );
+            }
+        }
     }
 
     #[test]

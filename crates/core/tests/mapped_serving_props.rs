@@ -79,9 +79,11 @@ proptest! {
         let v2 = ft.freeze(&g).to_v2().encode();
 
         let owned = Arc::new(FrozenSpanner::decode(&v2).expect("v2 must decode"));
-        let mapped = FrozenSpanner::open(SharedBytes::copy_aligned(&v2))
-            .expect("v2 must open in place");
-        prop_assert!(mapped.is_in_place(), "open() must borrow, not copy");
+        let shared = SharedBytes::copy_aligned(&v2);
+        let mapped = FrozenSpanner::open(shared.clone()).expect("v2 must open in place");
+        let buf = shared.as_slice().as_ptr_range();
+        let csr = mapped.csr().payload().as_ptr_range();
+        prop_assert!(buf.start <= csr.start && csr.end <= buf.end, "open() must borrow, not copy");
 
         // The detached routing-only replica: same bytes minus witnesses.
         let detached_bytes = owned.detach_witnesses().encode();

@@ -86,9 +86,11 @@ proptest! {
         let owned = Arc::new(FrozenSpanner::decode(&v2).expect("v2 must decode"));
         prop_assert_eq!(owned.edge_count(), ft.spanner().edge_count());
         prop_assert_eq!(owned.budget(), Some(f));
-        let mapped = FrozenSpanner::open(SharedBytes::copy_aligned(&v2))
-            .expect("v2 must open in place");
-        prop_assert!(mapped.is_in_place(), "open() must borrow, not copy");
+        let shared = SharedBytes::copy_aligned(&v2);
+        let mapped = FrozenSpanner::open(shared.clone()).expect("v2 must open in place");
+        let buf = shared.as_slice().as_ptr_range();
+        let csr = mapped.csr().payload().as_ptr_range();
+        prop_assert!(buf.start <= csr.start && csr.end <= buf.end, "open() must borrow, not copy");
 
         let served_owned = EpochServer::new(Arc::clone(&owned)).with_threads(3);
         let served_mapped = EpochServer::from_mapped(mapped).with_threads(3);

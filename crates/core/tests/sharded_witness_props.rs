@@ -114,9 +114,11 @@ proptest! {
 
         // Zero-copy open: per-edge lookups answer exactly the
         // construction's witness sets, on both paths, for every edge.
-        let mapped = FrozenSpanner::open(SharedBytes::copy_aligned(&sharded))
-            .expect("sharded v2 must open in place");
-        prop_assert!(mapped.is_in_place(), "open() must borrow, not copy");
+        let shared = SharedBytes::copy_aligned(&sharded);
+        let mapped = FrozenSpanner::open(shared.clone()).expect("sharded v2 must open in place");
+        let buf = shared.as_slice().as_ptr_range();
+        let csr = mapped.csr().payload().as_ptr_range();
+        prop_assert!(buf.start <= csr.start && csr.end <= buf.end, "open() must borrow, not copy");
         prop_assert!(mapped.witnesses_sharded());
         for (e, wanted) in expected.iter().enumerate() {
             let id = EdgeId::new(e);

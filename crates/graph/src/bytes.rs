@@ -62,7 +62,21 @@ impl SharedBytes {
     /// guaranteed to satisfy [`BUFFER_ALIGN`] — the portable fallback
     /// when no page-aligned mapping is available.
     pub fn copy_aligned(bytes: &[u8]) -> Self {
-        SharedBytes::from_source(Arc::new(AlignedBytes::copy_from(bytes)))
+        SharedBytes::write_aligned(bytes.len(), |out| out.extend_from_slice(bytes))
+    }
+
+    /// Builds a fresh aligned buffer of exactly `len` bytes that `write`
+    /// appends — the serializer writes straight into the final buffer,
+    /// with no intermediate copy. The `Vec` handed to `write` already
+    /// holds the leading alignment pad, so the payload starts at its
+    /// length on entry, not at 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `write` appends anything other than exactly `len`
+    /// bytes.
+    pub fn write_aligned(len: usize, write: impl FnOnce(&mut Vec<u8>)) -> Self {
+        SharedBytes::from_source(Arc::new(AlignedBytes::write_with(len, write)))
     }
 
     /// The shared bytes.
@@ -112,15 +126,28 @@ pub struct AlignedBytes {
 impl AlignedBytes {
     /// Copies `bytes` into an aligned buffer.
     pub fn copy_from(bytes: &[u8]) -> Self {
-        let mut buf = vec![0u8; bytes.len() + BUFFER_ALIGN];
+        AlignedBytes::write_with(bytes.len(), |out| out.extend_from_slice(bytes))
+    }
+
+    /// Builds an aligned buffer of exactly `len` bytes that `write`
+    /// appends (see [`SharedBytes::write_aligned`]). The allocation
+    /// reserves one alignment quantum of slack up front and the payload
+    /// is appended after the pad that aligns it; it fits the reservation
+    /// exactly, so the `Vec` never reallocates and the aligned start
+    /// stays put.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `write` appends anything other than exactly `len`
+    /// bytes.
+    pub(crate) fn write_with(len: usize, write: impl FnOnce(&mut Vec<u8>)) -> Self {
+        let mut buf = Vec::with_capacity(len + BUFFER_ALIGN);
         let residue = buf.as_ptr() as usize % BUFFER_ALIGN;
         let start = (BUFFER_ALIGN - residue) % BUFFER_ALIGN;
-        buf[start..start + bytes.len()].copy_from_slice(bytes);
-        AlignedBytes {
-            buf,
-            start,
-            len: bytes.len(),
-        }
+        buf.resize(start, 0);
+        write(&mut buf);
+        assert_eq!(buf.len() - start, len, "writer produced the wrong length");
+        AlignedBytes { buf, start, len }
     }
 
     /// The aligned payload.

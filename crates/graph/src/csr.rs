@@ -22,7 +22,10 @@
 //! identical tie-breaks), packs each adjacency slot's `(target, via-edge,
 //! weight)` into one contiguous record (one cache line touch per
 //! neighbor instead of three parallel-array touches), and is immutable by
-//! construction, hence trivially `Send + Sync`.
+//! construction, hence trivially `Send + Sync`. Its one in-memory form
+//! is the v2 artifact's CSR payload, read in place over a
+//! [`SharedBytes`] buffer: a fresh freeze and an mmap'd artifact serve
+//! from the same bytes through the same code.
 //!
 //! The `substrate` bench compares the layouts on identical query
 //! workloads.
@@ -372,14 +375,6 @@ impl IncrementalCsr {
     pub fn pending_len(&self) -> usize {
         self.edge_u.len() - self.frozen
     }
-
-    /// Finalizes this view into an immutable [`FrozenCsr`] (folding any
-    /// pending appends into the packed layout). The view itself is left
-    /// untouched; freezing is the hand-off point from construction to
-    /// serving.
-    pub fn freeze(&self) -> FrozenCsr {
-        FrozenCsr::from_view(self)
-    }
 }
 
 impl GraphView for IncrementalCsr {
@@ -458,16 +453,6 @@ impl From<&Graph> for IncrementalCsr {
     }
 }
 
-/// One packed adjacency slot of a [`FrozenCsr`]: the neighbor, the edge
-/// crossed to reach it, and that edge's weight, side by side so a
-/// traversal touches one record instead of three parallel arrays.
-#[derive(Clone, Copy, Debug)]
-struct PackedAdj {
-    to: u32,
-    via: u32,
-    weight: Weight,
-}
-
 /// Byte width of the v2 CSR payload header (`node_count u64,
 /// edge_count u64`).
 pub const CSR_PAYLOAD_HEADER_LEN: usize = 16;
@@ -480,54 +465,104 @@ pub const CSR_ADJ_RECORD_LEN: usize = 16;
 /// (`u u32, v u32, weight u64`).
 pub const CSR_EDGE_RECORD_LEN: usize = 16;
 
-// Compile-time layout asserts: the on-disk record widths the in-place
-// reader and the writer both assume, pinned against the field widths
-// they are built from. `PackedAdj` (the owned layout) mirrors the
-// packed on-disk record byte for byte in width, which is what makes the
-// owned and borrowed storages interchangeable cache-wise.
+// Compile-time layout asserts: the on-disk record widths the reader and
+// the writer both assume, pinned against the field widths they are
+// built from.
 const _: () = assert!(CSR_PAYLOAD_HEADER_LEN == 8 + 8);
 const _: () = assert!(CSR_ADJ_RECORD_LEN == 4 + 4 + 8);
 const _: () = assert!(CSR_EDGE_RECORD_LEN == 4 + 4 + 8);
-const _: () = assert!(std::mem::size_of::<PackedAdj>() == CSR_ADJ_RECORD_LEN);
-const _: () = assert!(std::mem::size_of::<u32>() == 4 && std::mem::size_of::<u64>() == 8);
 
-/// The storage a [`FrozenCsr`] serves from: either owned `Vec`s built
-/// by a freeze, or borrowed slices of a shared byte buffer validated by
-/// [`FrozenCsr::from_bytes`] — the zero-copy open path.
+/// One packed adjacency record, as the neighbor loop sees it.
+type AdjRecord = [u8; CSR_ADJ_RECORD_LEN];
+
+/// Decodes one adjacency record: `(neighbor, via-edge, weight)`.
+#[inline]
+fn decode_adj(record: &AdjRecord) -> (NodeId, EdgeId, Weight) {
+    let [t0, t1, t2, t3, e0, e1, e2, e3, w @ ..] = *record;
+    (
+        NodeId::from(u32::from_le_bytes([t0, t1, t2, t3])),
+        EdgeId::from(u32::from_le_bytes([e0, e1, e2, e3])),
+        Weight::new(u64::from_le_bytes(w)).expect("validated nonzero weight"),
+    )
+}
+
+/// Serializes `view` as the canonical v2 CSR payload, straight into a
+/// fresh aligned buffer: `node_count u64, edge_count u64`, the
+/// `(n + 1) × u32` offset table zero-padded to an 8-byte boundary, the
+/// `2m` packed adjacency records in [`GraphView`] neighbor order, then
+/// the `m` edge records — all fixed-width little endian. One view, one
+/// byte string.
+fn write_payload<V: GraphView>(view: &V) -> SharedBytes {
+    let (n, m) = (view.node_count(), view.edge_count());
+    let adj_rel = CSR_PAYLOAD_HEADER_LEN + binary::align8(4 * (n + 1));
+    let len = adj_rel + m * (2 * CSR_ADJ_RECORD_LEN + CSR_EDGE_RECORD_LEN);
+    let pad = adj_rel - CSR_PAYLOAD_HEADER_LEN - 4 * (n + 1);
+    SharedBytes::write_aligned(len, |out| {
+        binary::put_u64(out, n as u64);
+        binary::put_u64(out, m as u64);
+        let mut slots = 0u32;
+        binary::put_u32(out, slots);
+        for v in 0..n {
+            view.for_each_neighbor(NodeId::new(v), |_, _, _| slots += 1);
+            binary::put_u32(out, slots);
+        }
+        out.resize(out.len() + pad, 0);
+        for v in 0..n {
+            view.for_each_neighbor(NodeId::new(v), |to, via, w| {
+                binary::put_u32(out, to.raw());
+                binary::put_u32(out, via.raw());
+                binary::put_u64(out, w.get());
+            });
+        }
+        for e in 0..m {
+            let (u, v) = view.edge_endpoints(EdgeId::new(e));
+            binary::put_u32(out, u.raw());
+            binary::put_u32(out, v.raw());
+            binary::put_u64(out, view.edge_weight(EdgeId::new(e)).get());
+        }
+    })
+}
+
+/// A read-only, cache-packed CSR snapshot — the serving layout.
 ///
-/// Every [`GraphView`] method on [`FrozenCsr`] dispatches over this
-/// enum, so `DijkstraEngine` and every other view consumer runs
-/// unchanged (and tie-breaks identically) over both representations.
+/// A `FrozenCsr` is a validated v2 CSR payload (the `SPANNER` section
+/// of a v2 artifact, byte for byte) inside a [`SharedBytes`] buffer,
+/// read in place: each adjacency slot's `(target, via-edge, weight)` is
+/// one contiguous 16-byte record, so a traversal touches one record per
+/// neighbor instead of three parallel arrays. There is one form and one
+/// constructor: [`FrozenCsr::from_view`] writes the payload into a
+/// fresh aligned buffer and [`FrozenCsr::from_bytes`] validates it, the
+/// same way it validates a section of an mmap'd artifact — so a freeze
+/// and a zero-copy open serve from identical bytes.
+///
+/// Node and edge ids and the neighbor order match the source view, so
+/// traversals tie-break exactly like traversals over the source. The
+/// structure is immutable and holds no interior mutability, so it is
+/// `Send + Sync` and cheap to clone and share across query threads
+/// (clones share the buffer) — this is what the freeze-and-serve read
+/// path (`spanner_core`'s `FrozenSpanner`/`EpochServer`) hands to its
+/// workers.
+///
+/// # Examples
+///
+/// ```
+/// use spanner_graph::{
+///     csr::FrozenCsr, generators, DijkstraEngine, Dist, FaultMask, GraphView, NodeId,
+/// };
+///
+/// let g = generators::complete(8);
+/// let frozen = FrozenCsr::from_view(&g);
+/// let mask = FaultMask::with_capacity(8, frozen.edge_count());
+/// let mut engine = DijkstraEngine::new();
+/// let d = engine.dist_bounded(&frozen, NodeId::new(0), NodeId::new(5), Dist::finite(3), &mask);
+/// assert_eq!(d, Some(Dist::finite(1)));
+/// ```
 #[derive(Clone, Debug)]
-pub enum CsrStorage {
-    /// Heap-owned arrays (the result of [`FrozenCsr::from_view`] or
-    /// [`FrozenCsr::materialize`]).
-    Owned(OwnedCsr),
-    /// Slices of a shared, aligned byte buffer read in place.
-    Borrowed(ByteCsr),
-}
-
-/// Owned CSR arrays (the classic freeze output).
-#[derive(Clone, Debug)]
-pub struct OwnedCsr {
-    node_count: usize,
-    offsets: Vec<u32>,
-    adj: Vec<PackedAdj>,
-    edge_u: Vec<u32>,
-    edge_v: Vec<u32>,
-    edge_w: Vec<Weight>,
-}
-
-/// A validated in-place view over a v2 CSR payload inside a shared
-/// byte buffer. Holding a clone of the buffer keeps the bytes alive;
-/// all reads decode fixed-width little-endian fields at offsets the
-/// validator proved in bounds.
-#[derive(Clone, Debug)]
-pub struct ByteCsr {
+pub struct FrozenCsr {
     bytes: SharedBytes,
     node_count: usize,
     edge_count: usize,
-    /// Absolute section range inside `bytes` (for canonical re-encode).
+    /// Absolute payload range inside `bytes`.
     start: usize,
     len: usize,
     /// Absolute offsets of the three packed tables inside `bytes`.
@@ -536,24 +571,26 @@ pub struct ByteCsr {
     edges_at: usize,
 }
 
-impl ByteCsr {
-    #[inline]
-    fn data(&self) -> &[u8] {
-        self.bytes.as_slice()
+impl FrozenCsr {
+    /// Snapshots any graph view (same node and edge ids, same neighbor
+    /// order): writes its canonical v2 CSR payload into a fresh aligned
+    /// buffer and validates it like any other payload.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `view` breaks the [`GraphView`] contract (neighbors not
+    /// in increasing edge-id order, or adjacency that disagrees with the
+    /// edge list).
+    pub fn from_view<V: GraphView>(view: &V) -> Self {
+        let bytes = write_payload(view);
+        let len = bytes.len();
+        FrozenCsr::from_bytes(bytes, 0, len).expect("a GraphView writes a valid CSR payload")
     }
 
-    /// The raw section bytes this view was validated over.
-    fn section(&self) -> &[u8] {
-        &self.data()[self.start..self.start + self.len]
-    }
-
-    #[inline]
-    fn offset(&self, data: &[u8], i: usize) -> usize {
-        read_u32_at(data, self.offsets_at + 4 * i) as usize
-    }
-
-    /// Validates a v2 CSR payload at `bytes[start..start + len]` and
-    /// returns an in-place view over it.
+    /// Opens a v2 CSR payload **in place**: validates the section at
+    /// `bytes[start..start + len]` and returns a `FrozenCsr` that reads
+    /// it where it lies. O(n + m) validation scans, O(n) scratch, zero
+    /// per-record materialization.
     ///
     /// The checks, in order: 8-byte alignment of the payload's actual
     /// address ([`BinaryError::MisalignedSection`]), header presence,
@@ -563,10 +600,15 @@ impl ByteCsr {
     /// counts, zero padding, offset monotonicity, per-slot agreement of
     /// the adjacency table with its canonical derivation from the edge
     /// list (so a crafted adjacency cannot smuggle in edges the edge
-    /// list does not carry), simple-graph invariants (no self-loops, no
-    /// duplicate edges, positive weights). O(n + m) time, O(n) scratch,
-    /// and no allocation sized by unvalidated input.
-    fn validate(bytes: SharedBytes, start: usize, len: usize) -> Result<ByteCsr, BinaryError> {
+    /// list does not carry), no self-loops and positive weights.
+    /// Duplicate edges derive consistently and pass; callers that need
+    /// a simple graph add [`FrozenCsr::check_simple`].
+    ///
+    /// # Errors
+    ///
+    /// A typed [`BinaryError`] for any structural defect. Hostile input
+    /// cannot cause a panic or an unbounded allocation.
+    pub fn from_bytes(bytes: SharedBytes, start: usize, len: usize) -> Result<Self, BinaryError> {
         let malformed =
             |context: &'static str, detail: String| BinaryError::Malformed { context, detail };
         let end =
@@ -709,22 +751,8 @@ impl ByteCsr {
         }
         // Every slot is consumed: each vertex contributed next[a] - off(a)
         // slots, the sums match off(n) == 2m, and no vertex overran, so
-        // the per-vertex counts agree exactly. Duplicate edges remain:
-        // they derive consistently, so detect them per vertex run.
-        let mut mark = vec![u32::MAX; n];
-        for a in 0..n {
-            for slot in off(a)..off(a + 1) {
-                let to = read_u32_at(sect, adj_rel + slot * CSR_ADJ_RECORD_LEN) as usize;
-                if mark[to] == a as u32 {
-                    return Err(malformed(
-                        "csr adjacency",
-                        format!("duplicate edge between vertices {a} and {to}"),
-                    ));
-                }
-                mark[to] = a as u32;
-            }
-        }
-        Ok(ByteCsr {
+        // the per-vertex counts agree exactly.
+        Ok(FrozenCsr {
             bytes,
             node_count: n,
             edge_count: m,
@@ -735,210 +763,67 @@ impl ByteCsr {
             edges_at: start + edges_rel,
         })
     }
-}
 
-/// A read-only, cache-packed CSR snapshot — the serving layout.
-///
-/// Built once from any [`GraphView`] (a [`Graph`], an [`IncrementalCsr`]
-/// via [`IncrementalCsr::freeze`], …) with the same node and edge ids and
-/// the same neighbor order, so traversals over the frozen layout
-/// tie-break exactly like traversals over the source. The structure is
-/// immutable after construction and holds no interior mutability, so it
-/// is `Send + Sync` and cheap to share across query threads behind an
-/// `Arc` — this is what the freeze-and-serve read path
-/// (`spanner_core`'s `FrozenSpanner`/`EpochServer`) hands to its workers.
-///
-/// Since the v2 artifact layout, the arrays behind a `FrozenCsr` live in
-/// a [`CsrStorage`]: either owned `Vec`s, or borrowed slices of a shared
-/// aligned buffer ([`FrozenCsr::from_bytes`]) so a replica can serve
-/// straight off an mmap'd artifact without rebuilding anything.
-///
-/// # Examples
-///
-/// ```
-/// use spanner_graph::{
-///     csr::FrozenCsr, generators, DijkstraEngine, Dist, FaultMask, GraphView, NodeId,
-/// };
-///
-/// let g = generators::complete(8);
-/// let frozen = FrozenCsr::from_view(&g);
-/// let mask = FaultMask::with_capacity(8, frozen.edge_count());
-/// let mut engine = DijkstraEngine::new();
-/// let d = engine.dist_bounded(&frozen, NodeId::new(0), NodeId::new(5), Dist::finite(3), &mask);
-/// assert_eq!(d, Some(Dist::finite(1)));
-/// ```
-#[derive(Clone, Debug)]
-pub struct FrozenCsr {
-    storage: CsrStorage,
-}
-
-impl FrozenCsr {
-    /// Snapshots any graph view into the packed frozen layout (same node
-    /// and edge ids, same neighbor order), owned storage.
-    pub fn from_view<V: GraphView>(view: &V) -> Self {
-        let n = view.node_count();
-        let m = view.edge_count();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut adj = Vec::with_capacity(2 * m);
-        offsets.push(0);
-        for v in 0..n {
-            view.for_each_neighbor(NodeId::new(v), |to, eid, w| {
-                adj.push(PackedAdj {
-                    to: to.raw(),
-                    via: eid.raw(),
-                    weight: w,
-                });
-            });
-            offsets.push(adj.len() as u32);
-        }
-        let mut edge_u = Vec::with_capacity(m);
-        let mut edge_v = Vec::with_capacity(m);
-        let mut edge_w = Vec::with_capacity(m);
-        for e in 0..m {
-            let (u, v) = view.edge_endpoints(EdgeId::new(e));
-            edge_u.push(u.raw());
-            edge_v.push(v.raw());
-            edge_w.push(view.edge_weight(EdgeId::new(e)));
-        }
-        FrozenCsr {
-            storage: CsrStorage::Owned(OwnedCsr {
-                node_count: n,
-                offsets,
-                adj,
-                edge_u,
-                edge_v,
-                edge_w,
-            }),
-        }
-    }
-
-    /// Opens a v2 CSR payload **in place**: validates the section at
-    /// `bytes[start..start + len]` (alignment, counts, ranges,
-    /// adjacency/edge-list agreement — see the checked validator's
-    /// docs) and returns a `FrozenCsr` whose storage borrows the buffer
-    /// instead of rebuilding `Vec`s. O(n + m) validation scans, O(n)
-    /// scratch, zero per-record materialization.
+    /// Rejects duplicate edges, which [`FrozenCsr::from_bytes`] lets
+    /// through (they derive consistently): one O(n + m) scan of the
+    /// adjacency runs with O(n) scratch.
     ///
     /// # Errors
     ///
-    /// A typed [`BinaryError`] for any structural defect, including
-    /// [`BinaryError::MisalignedSection`] when the payload's actual
-    /// address misses the 8-byte alignment the in-place tables require.
-    /// Hostile input cannot cause a panic or an unbounded allocation.
-    pub fn from_bytes(bytes: SharedBytes, start: usize, len: usize) -> Result<Self, BinaryError> {
-        Ok(FrozenCsr {
-            storage: CsrStorage::Borrowed(ByteCsr::validate(bytes, start, len)?),
-        })
-    }
-
-    /// The storage this snapshot serves from.
-    pub fn storage(&self) -> &CsrStorage {
-        &self.storage
-    }
-
-    /// Whether this snapshot reads its tables in place from a shared
-    /// buffer (as opposed to owned heap arrays).
-    pub fn is_in_place(&self) -> bool {
-        matches!(self.storage, CsrStorage::Borrowed(_))
-    }
-
-    /// Copies this snapshot into owned storage (a no-op clone when it
-    /// already is owned). Useful to drop the backing buffer.
-    pub fn materialize(&self) -> FrozenCsr {
-        match &self.storage {
-            CsrStorage::Owned(_) => self.clone(),
-            CsrStorage::Borrowed(_) => {
-                let n = self.node_count();
-                let m = self.edge_count();
-                let mut offsets = Vec::with_capacity(n + 1);
-                let mut adj = Vec::with_capacity(2 * m);
-                offsets.push(0);
-                for v in 0..n {
-                    self.for_each_neighbor(NodeId::new(v), |to, eid, w| {
-                        adj.push(PackedAdj {
-                            to: to.raw(),
-                            via: eid.raw(),
-                            weight: w,
-                        });
+    /// [`BinaryError::Malformed`] naming the first duplicated pair.
+    pub fn check_simple(&self) -> Result<(), BinaryError> {
+        let data = self.bytes.as_slice();
+        let mut mark = vec![u32::MAX; self.node_count];
+        for a in 0..self.node_count {
+            for record in self.records(data, NodeId::new(a)) {
+                let to = decode_adj(record).0.index();
+                if mark[to] == a as u32 {
+                    return Err(BinaryError::Malformed {
+                        context: "csr adjacency",
+                        detail: format!("duplicate edge between vertices {a} and {to}"),
                     });
-                    offsets.push(adj.len() as u32);
                 }
-                let mut edge_u = Vec::with_capacity(m);
-                let mut edge_v = Vec::with_capacity(m);
-                let mut edge_w = Vec::with_capacity(m);
-                for e in 0..m {
-                    let (u, v) = self.edge_endpoints(EdgeId::new(e));
-                    edge_u.push(u.raw());
-                    edge_v.push(v.raw());
-                    edge_w.push(self.edge_weight(EdgeId::new(e)));
-                }
-                FrozenCsr {
-                    storage: CsrStorage::Owned(OwnedCsr {
-                        node_count: n,
-                        offsets,
-                        adj,
-                        edge_u,
-                        edge_v,
-                        edge_w,
-                    }),
-                }
+                mark[to] = a as u32;
             }
         }
+        Ok(())
     }
 
-    /// Exact byte length of this snapshot's v2 CSR payload.
-    pub fn payload_v2_len(&self) -> usize {
-        match &self.storage {
-            CsrStorage::Owned(o) => {
-                CSR_PAYLOAD_HEADER_LEN
-                    + binary::align8(4 * (o.node_count + 1))
-                    + 2 * o.edge_u.len() * CSR_ADJ_RECORD_LEN
-                    + o.edge_u.len() * CSR_EDGE_RECORD_LEN
-            }
-            CsrStorage::Borrowed(b) => b.len,
-        }
+    /// The canonical v2 CSR payload this snapshot reads from — the
+    /// `SPANNER` section bytes of a v2 artifact, readable back in place
+    /// by [`FrozenCsr::from_bytes`].
+    pub fn payload(&self) -> &[u8] {
+        &self.bytes.as_slice()[self.start..self.start + self.len]
     }
 
-    /// Serializes this snapshot as the v2 CSR payload: `node_count u64,
-    /// edge_count u64`, the `(n + 1) × u32` offset table zero-padded to
-    /// an 8-byte boundary, the `2m` packed adjacency records, then the
-    /// `m` edge records — all fixed-width little-endian, readable back
-    /// in place by [`FrozenCsr::from_bytes`]. Canonical: one snapshot,
-    /// one byte string.
-    pub fn write_payload_v2(&self, out: &mut Vec<u8>) {
-        if let CsrStorage::Borrowed(b) = &self.storage {
-            // Validated borrowed bytes are already canonical.
-            out.extend_from_slice(b.section());
-            return;
-        }
-        let base = out.len();
-        let n = self.node_count();
-        let m = self.edge_count();
-        binary::put_u64(out, n as u64);
-        binary::put_u64(out, m as u64);
-        match &self.storage {
-            CsrStorage::Owned(o) => {
-                for &off in &o.offsets {
-                    binary::put_u32(out, off);
-                }
-                out.resize(
-                    base + CSR_PAYLOAD_HEADER_LEN + binary::align8(4 * (n + 1)),
-                    0,
-                );
-                for slot in &o.adj {
-                    binary::put_u32(out, slot.to);
-                    binary::put_u32(out, slot.via);
-                    binary::put_u64(out, slot.weight.get());
-                }
-                for e in 0..m {
-                    binary::put_u32(out, o.edge_u[e]);
-                    binary::put_u32(out, o.edge_v[e]);
-                    binary::put_u64(out, o.edge_w[e].get());
-                }
-            }
-            CsrStorage::Borrowed(_) => unreachable!("handled above"),
-        }
-        debug_assert_eq!(out.len() - base, self.payload_v2_len());
+    /// The adjacency records of `node`, in increasing edge-id order.
+    #[inline]
+    fn records<'a>(
+        &self,
+        data: &'a [u8],
+        node: NodeId,
+    ) -> impl ExactSizeIterator<Item = &'a AdjRecord> + 'a {
+        let i = node.index();
+        assert!(i < self.node_count, "node out of range");
+        let slot = |v: usize| read_u32_at(data, self.offsets_at + 4 * v) as usize;
+        let lo = self.adj_at + slot(i) * CSR_ADJ_RECORD_LEN;
+        let hi = self.adj_at + slot(i + 1) * CSR_ADJ_RECORD_LEN;
+        data[lo..hi]
+            .chunks_exact(CSR_ADJ_RECORD_LEN)
+            .map(|record| record.try_into().expect("exact-size chunk"))
+    }
+
+    /// The edge record of `edge`: `(u, v, weight)`.
+    #[inline]
+    fn edge_record(&self, edge: EdgeId) -> (NodeId, NodeId, Weight) {
+        assert!(edge.index() < self.edge_count, "edge out of range");
+        let data = self.bytes.as_slice();
+        let at = self.edges_at + edge.index() * CSR_EDGE_RECORD_LEN;
+        (
+            NodeId::from(read_u32_at(data, at)),
+            NodeId::from(read_u32_at(data, at + 4)),
+            Weight::new(read_u64_at(data, at + 8)).expect("validated nonzero weight"),
+        )
     }
 
     /// Degree of `node`.
@@ -947,124 +832,45 @@ impl FrozenCsr {
     ///
     /// Panics if `node` is out of range.
     pub fn degree(&self, node: NodeId) -> usize {
-        let i = node.index();
-        match &self.storage {
-            CsrStorage::Owned(o) => (o.offsets[i + 1] - o.offsets[i]) as usize,
-            CsrStorage::Borrowed(b) => {
-                assert!(i < b.node_count, "node out of range");
-                let data = b.data();
-                b.offset(data, i + 1) - b.offset(data, i)
-            }
-        }
+        self.records(self.bytes.as_slice(), node).len()
     }
 }
 
 impl GraphView for FrozenCsr {
     #[inline]
     fn node_count(&self) -> usize {
-        match &self.storage {
-            CsrStorage::Owned(o) => o.node_count,
-            CsrStorage::Borrowed(b) => b.node_count,
-        }
+        self.node_count
     }
 
     #[inline]
     fn edge_count(&self) -> usize {
-        match &self.storage {
-            CsrStorage::Owned(o) => o.edge_u.len(),
-            CsrStorage::Borrowed(b) => b.edge_count,
-        }
+        self.edge_count
     }
 
     #[inline]
     fn edge_endpoints(&self, edge: EdgeId) -> (NodeId, NodeId) {
-        match &self.storage {
-            CsrStorage::Owned(o) => (
-                NodeId::from(o.edge_u[edge.index()]),
-                NodeId::from(o.edge_v[edge.index()]),
-            ),
-            CsrStorage::Borrowed(b) => {
-                assert!(edge.index() < b.edge_count, "edge out of range");
-                let at = b.edges_at + edge.index() * CSR_EDGE_RECORD_LEN;
-                let data = b.data();
-                (
-                    NodeId::from(read_u32_at(data, at)),
-                    NodeId::from(read_u32_at(data, at + 4)),
-                )
-            }
-        }
+        let (u, v, _) = self.edge_record(edge);
+        (u, v)
     }
 
     #[inline]
     fn edge_weight(&self, edge: EdgeId) -> Weight {
-        match &self.storage {
-            CsrStorage::Owned(o) => o.edge_w[edge.index()],
-            CsrStorage::Borrowed(b) => {
-                assert!(edge.index() < b.edge_count, "edge out of range");
-                let at = b.edges_at + edge.index() * CSR_EDGE_RECORD_LEN;
-                Weight::new(read_u64_at(b.data(), at + 8)).expect("validated nonzero weight")
-            }
-        }
+        self.edge_record(edge).2
     }
 
     #[inline]
     fn for_each_neighbor(&self, node: NodeId, mut f: impl FnMut(NodeId, EdgeId, Weight)) {
-        let i = node.index();
-        match &self.storage {
-            CsrStorage::Owned(o) => {
-                assert!(i < o.node_count, "node out of range");
-                let lo = o.offsets[i] as usize;
-                let hi = o.offsets[i + 1] as usize;
-                for slot in &o.adj[lo..hi] {
-                    f(NodeId::from(slot.to), EdgeId::from(slot.via), slot.weight);
-                }
-            }
-            CsrStorage::Borrowed(b) => {
-                assert!(i < b.node_count, "node out of range");
-                let data = b.data();
-                let lo = b.offset(data, i);
-                let hi = b.offset(data, i + 1);
-                for slot in lo..hi {
-                    let at = b.adj_at + slot * CSR_ADJ_RECORD_LEN;
-                    f(
-                        NodeId::from(read_u32_at(data, at)),
-                        EdgeId::from(read_u32_at(data, at + 4)),
-                        Weight::new(read_u64_at(data, at + 8)).expect("validated nonzero weight"),
-                    );
-                }
-            }
+        for record in self.records(self.bytes.as_slice(), node) {
+            let (to, via, w) = decode_adj(record);
+            f(to, via, w);
         }
     }
 
     fn find_edge(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
-        match &self.storage {
-            CsrStorage::Owned(o) => {
-                assert!(
-                    u.index() < o.node_count && v.index() < o.node_count,
-                    "node out of range"
-                );
-                let lo = o.offsets[u.index()] as usize;
-                let hi = o.offsets[u.index() + 1] as usize;
-                o.adj[lo..hi]
-                    .iter()
-                    .find(|slot| slot.to == v.raw())
-                    .map(|slot| EdgeId::from(slot.via))
-            }
-            CsrStorage::Borrowed(b) => {
-                assert!(
-                    u.index() < b.node_count && v.index() < b.node_count,
-                    "node out of range"
-                );
-                let data = b.data();
-                let lo = b.offset(data, u.index());
-                let hi = b.offset(data, u.index() + 1);
-                (lo..hi).find_map(|slot| {
-                    let at = b.adj_at + slot * CSR_ADJ_RECORD_LEN;
-                    (read_u32_at(data, at) == v.raw())
-                        .then(|| EdgeId::from(read_u32_at(data, at + 4)))
-                })
-            }
-        }
+        assert!(v.index() < self.node_count, "node out of range");
+        self.records(self.bytes.as_slice(), u)
+            .map(decode_adj)
+            .find_map(|(to, via, _)| (to == v).then_some(via))
     }
 }
 
@@ -1075,12 +881,11 @@ impl From<&Graph> for FrozenCsr {
 }
 
 /// Compile-time proof of the serving contract: the frozen layout can be
-/// shared across threads as-is — in both storages.
+/// shared across threads as-is.
 #[allow(dead_code)]
 fn frozen_csr_is_send_sync() {
     fn check<T: Send + Sync>() {}
     check::<FrozenCsr>();
-    check::<CsrStorage>();
 }
 
 #[cfg(test)]
@@ -1273,7 +1078,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(93);
         let g = generators::erdos_renyi(30, 0.2, &mut rng);
         let inc = IncrementalCsr::from_graph(&g);
-        for frozen in [FrozenCsr::from_view(&g), inc.freeze(), (&g).into()] {
+        for frozen in [
+            FrozenCsr::from_view(&g),
+            FrozenCsr::from_view(&inc),
+            (&g).into(),
+        ] {
             assert_eq!(GraphView::node_count(&frozen), g.node_count());
             assert_eq!(GraphView::edge_count(&frozen), g.edge_count());
             for v in g.nodes() {
@@ -1298,7 +1107,7 @@ mod tests {
             mirror.add_edge_unchecked(NodeId::new(u), NodeId::new(v), Weight::UNIT);
         }
         assert!(view.pending_len() > 0, "buffer must be mid-flight");
-        let frozen = view.freeze();
+        let frozen = FrozenCsr::from_view(&view);
         assert_eq!(GraphView::edge_count(&frozen), 6);
         for v in mirror.nodes() {
             assert_eq!(view_neighbors(&frozen, v), view_neighbors(&mirror, v));
@@ -1357,17 +1166,13 @@ mod tests {
         assert_eq!(view.pending_len(), 0, "sync must freeze everything");
     }
 
-    // ── CsrStorage / in-place (v2 payload) coverage ────────────────────
+    // ── In-place (v2 payload) coverage ─────────────────────────────────
 
     use crate::bytes::SharedBytes;
     use crate::io::binary::BinaryError;
 
-    fn v2_payload_of(g: &Graph) -> (FrozenCsr, Vec<u8>) {
-        let frozen = FrozenCsr::from_view(g);
-        let mut out = Vec::new();
-        frozen.write_payload_v2(&mut out);
-        assert_eq!(out.len(), frozen.payload_v2_len());
-        (frozen, out)
+    fn payload_of(g: &Graph) -> Vec<u8> {
+        FrozenCsr::from_view(g).payload().to_vec()
     }
 
     fn open_in_place(payload: &[u8]) -> FrozenCsr {
@@ -1382,59 +1187,40 @@ mod tests {
             generators::complete(9),
             generators::grid(4, 7),
             generators::path(1),
+            Graph::from_weighted_edges(4, [(0, 1, 5), (1, 2, 2), (0, 3, u64::MAX)]).unwrap(),
             Graph::new(3), // nodes but no edges
             Graph::new(0),
         ] {
-            let (owned, payload) = v2_payload_of(&g);
+            let payload = payload_of(&g);
             let mapped = open_in_place(&payload);
-            assert!(mapped.is_in_place());
-            assert!(!owned.is_in_place());
-            assert!(matches!(mapped.storage(), CsrStorage::Borrowed(_)));
-            assert_eq!(mapped.node_count(), owned.node_count());
-            assert_eq!(mapped.edge_count(), owned.edge_count());
-            for v in 0..g.node_count() {
-                assert_eq!(
-                    view_neighbors(&mapped, NodeId::new(v)),
-                    view_neighbors(&owned, NodeId::new(v)),
-                );
-                assert_eq!(mapped.degree(NodeId::new(v)), owned.degree(NodeId::new(v)));
+            assert_eq!(
+                mapped.payload(),
+                &payload[..],
+                "re-encode must be byte-identical"
+            );
+            assert_eq!(mapped.node_count(), g.node_count());
+            assert_eq!(mapped.edge_count(), g.edge_count());
+            for v in g.nodes() {
+                assert_eq!(view_neighbors(&mapped, v), view_neighbors(&g, v));
+                assert_eq!(mapped.degree(v), g.degree(v));
             }
-            for e in 0..g.edge_count() {
-                assert_eq!(
-                    mapped.edge_endpoints(EdgeId::new(e)),
-                    owned.edge_endpoints(EdgeId::new(e))
-                );
-                assert_eq!(
-                    mapped.edge_weight(EdgeId::new(e)),
-                    owned.edge_weight(EdgeId::new(e))
-                );
+            for (id, e) in g.edges() {
+                assert_eq!(mapped.edge_endpoints(id), e.endpoints());
+                assert_eq!(mapped.edge_weight(id), e.weight());
             }
-            for u in 0..g.node_count() {
-                for v in 0..g.node_count() {
-                    assert_eq!(
-                        mapped.find_edge(NodeId::new(u), NodeId::new(v)),
-                        owned.find_edge(NodeId::new(u), NodeId::new(v))
-                    );
+            for u in g.nodes() {
+                assert_eq!(mapped.find_edge(u, u), None);
+                for v in g.nodes().filter(|&v| v != u) {
+                    assert_eq!(mapped.find_edge(u, v), g.contains_edge(u, v));
                 }
             }
-            // Re-encoding the borrowed view is byte-canonical, and
-            // materializing it re-owns the same structure.
-            let mut re = Vec::new();
-            mapped.write_payload_v2(&mut re);
-            assert_eq!(re, payload, "borrowed re-encode must be byte-identical");
-            let mat = mapped.materialize();
-            assert!(!mat.is_in_place());
-            let mut mat_bytes = Vec::new();
-            mat.write_payload_v2(&mut mat_bytes);
-            assert_eq!(mat_bytes, payload);
         }
     }
 
     #[test]
-    fn byte_csr_dijkstra_matches_owned() {
+    fn byte_csr_dijkstra_matches_source_graph() {
         let g = generators::grid(5, 6);
-        let (owned, payload) = v2_payload_of(&g);
-        let mapped = open_in_place(&payload);
+        let mapped = open_in_place(&payload_of(&g));
         let mut mask = FaultMask::with_capacity(g.node_count(), g.edge_count());
         mask.fault_edge(EdgeId::new(3));
         mask.fault_vertex(NodeId::new(7));
@@ -1448,7 +1234,7 @@ mod tests {
                 &mask,
             );
             let b = engine.shortest_path_bounded(
-                &owned,
+                &g,
                 NodeId::new(src),
                 NodeId::new(dst),
                 Dist::finite(64),
@@ -1459,8 +1245,24 @@ mod tests {
     }
 
     #[test]
+    fn byte_csr_duplicate_edges_pass_validation_but_not_check_simple() {
+        let mut g = Graph::new(3);
+        for _ in 0..2 {
+            g.add_edge_unchecked(NodeId::new(0), NodeId::new(1), Weight::UNIT);
+        }
+        let mapped = open_in_place(&payload_of(&g));
+        assert_eq!(view_neighbors(&mapped, NodeId::new(0)).len(), 2);
+        let err = mapped.check_simple().unwrap_err();
+        assert_eq!(err.code(), "artifact/malformed");
+        assert!(err.to_string().contains("duplicate edge"), "{err}");
+        assert!(open_in_place(&payload_of(&generators::petersen()))
+            .check_simple()
+            .is_ok());
+    }
+
+    #[test]
     fn byte_csr_rejects_misaligned_start() {
-        let (_, payload) = v2_payload_of(&generators::complete(5));
+        let payload = payload_of(&generators::complete(5));
         // Prepend one byte so the payload starts at an odd offset inside
         // an aligned buffer: typed rejection, no panic, no UB.
         let mut shifted = vec![0u8; 1];
@@ -1476,7 +1278,7 @@ mod tests {
 
     #[test]
     fn byte_csr_every_truncation_and_flip_is_typed() {
-        let (_, payload) = v2_payload_of(&generators::complete(4));
+        let payload = payload_of(&generators::complete(4));
         for cut in 0..payload.len() {
             let shared = SharedBytes::copy_aligned(&payload[..cut]);
             assert!(
@@ -1510,7 +1312,7 @@ mod tests {
 
     #[test]
     fn byte_csr_rejects_hostile_headers_without_big_allocs() {
-        let (_, payload) = v2_payload_of(&generators::complete(4));
+        let payload = payload_of(&generators::complete(4));
         // Claim an absurd node count: bounded rejection.
         let mut huge = payload.clone();
         huge[0..8].copy_from_slice(&(u64::MAX).to_le_bytes());

@@ -65,6 +65,7 @@
 //! ```
 
 use crate::{FrozenCsr, Graph, GraphError, GraphView, NodeId, Weight};
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
@@ -625,14 +626,14 @@ impl ContainerV2 {
 /// [`parse_container_v2`] accepts no other encoding of it (padding must
 /// be zero, offsets are forced, trailing bytes are rejected).
 #[derive(Debug)]
-pub struct ContainerWriterV2 {
+pub struct ContainerWriterV2<'a> {
     magic: [u8; 8],
     version: u32,
     flags: u32,
-    sections: Vec<(u32, Vec<u8>)>,
+    sections: Vec<(u32, Cow<'a, [u8]>)>,
 }
 
-impl ContainerWriterV2 {
+impl<'a> ContainerWriterV2<'a> {
     /// Starts a v2 container with the given magic, version, and header
     /// flags.
     pub fn new(magic: [u8; 8], version: u32, flags: u32) -> Self {
@@ -644,11 +645,12 @@ impl ContainerWriterV2 {
         }
     }
 
-    /// Appends one section in file order. Duplicate tags are not
-    /// rejected here (the fuzzer uses this writer to build hostile
-    /// replays); [`parse_container_v2`] rejects them.
-    pub fn section(&mut self, tag: u32, payload: Vec<u8>) -> &mut Self {
-        self.sections.push((tag, payload));
+    /// Appends one section in file order, owned or borrowed (a borrowed
+    /// payload is copied once, straight into the finished container).
+    /// Duplicate tags are not rejected here (the fuzzer uses this writer
+    /// to build hostile replays); [`parse_container_v2`] rejects them.
+    pub fn section(&mut self, tag: u32, payload: impl Into<Cow<'a, [u8]>>) -> &mut Self {
+        self.sections.push((tag, payload.into()));
         self
     }
 

@@ -75,7 +75,7 @@ pub mod transform;
 pub use adjacency::GraphView;
 pub use bitset::BitSet;
 pub use bytes::SharedBytes;
-pub use csr::{CsrStorage, FrozenCsr, IncrementalCsr};
+pub use csr::{FrozenCsr, IncrementalCsr};
 pub use dijkstra::{DijkstraEngine, Landmarks, PathScratch, ShortestPath, LANDMARKS};
 pub use error::GraphError;
 pub use graph::{Edge, Graph};

@@ -690,7 +690,7 @@ fn run_serve(args: ServeArgs) -> Result<(), String> {
         "loaded {} ({}): {} nodes, {} edges, stretch {}, f = {}, {} model",
         args.path.display(),
         if args.in_place {
-            if loaded.is_in_place() {
+            if mmapio::Mmap::supported() {
                 "in place, zero-copy"
             } else {
                 "in place, aligned copy"

@@ -183,6 +183,15 @@ fn sharded_cli_surface_round_trips_and_fails_closed() {
             "serve {extra:?} stderr: {}",
             String::from_utf8_lossy(&served.stderr)
         );
+        // The load label names the path actually taken: zero-copy
+        // exactly when the file was mapped, never on the aligned-copy
+        // fallback or the eager decode.
+        let stdout = String::from_utf8_lossy(&served.stdout);
+        assert_eq!(
+            stdout.contains("zero-copy"),
+            !extra.is_empty() && mmapio::Mmap::supported(),
+            "serve {extra:?} stdout: {stdout}"
+        );
     }
 
     // Conflicting flags are a usage error, not a panic or a silent pick.
