@@ -14,7 +14,7 @@
 //!   spanner-edge → parent-edge map *and* its precomputed inverse (so
 //!   translating a parent-id fault set costs O(|F|), not O(|E(H)|) as
 //!   [`Spanner::fault_mask`](crate::Spanner::fault_mask) pays), the
-//!   stretch target, and optionally the parent graph handle, the fault
+//!   stretch target, and optionally the parent graph, the fault
 //!   budget/model it was built for, and the recorded witness fault sets;
 //! * the whole structure is immutable and `Send + Sync`: share one
 //!   artifact across any number of
@@ -23,24 +23,31 @@
 //!
 //! Freeze from either layer: [`Spanner::freeze`](crate::Spanner::freeze)
 //! seals the subgraph alone; [`FtSpanner::freeze`](crate::FtSpanner::freeze)
-//! additionally records the parent handle, budget, model and witnesses
+//! additionally records the parent graph, budget, model and witnesses
 //! (the metadata adversarial replay and stretch audits feed on).
 //!
-//! # Persistence: build once, serve many
+//! # One form: the canonical container
 //!
-//! The expensive half of the Bodwin–Patel story is *construction* (every
-//! kept edge pays an exact fault-oracle decision); serving is cheap.
-//! [`FrozenSpanner::encode`] therefore turns the artifact into a
-//! versioned binary document (the `VFTSPANR` container of
-//! [`spanner_graph::io::binary`]; byte-level spec in
-//! `docs/ARTIFACT_FORMAT.md`) and [`FrozenSpanner::decode`] loads it
-//! back — in another process, on another machine — without re-running
-//! FT-greedy. Everything a serving replica needs travels in the bytes:
-//! the packed adjacency, stretch/budget/model metadata, the witness
-//! map, both parent↔spanner edge translation tables (the inverse stored
-//! rather than re-derived, so decode's allocations stay bounded by the
-//! input — and revalidated element-wise against the forward table), and
-//! optionally the parent graph itself.
+//! Every `FrozenSpanner` is one [`SharedBytes`] buffer holding a
+//! *canonical* `VFTSPANR` v2 container (byte-level spec in
+//! `docs/ARTIFACT_FORMAT.md`), and every accessor reads from it: the
+//! packed adjacency and translation tables in place, the witness map as
+//! per-edge records behind an offset index ([`FLAG_WITNESSES_SHARDED`]),
+//! the parent graph decoded on first use. A freeze writes those bytes
+//! straight from the construction and validates them exactly as
+//! [`FrozenSpanner::open`] validates a mapped file, so a freeze, a
+//! decode and a zero-copy open serve from identical bytes and
+//! [`FrozenSpanner::encode`] is a copy. The routing-only replica
+//! [`FrozenSpanner::detach_witnesses`] writes is the other canonical
+//! form ([`FLAG_WITNESSES_DETACHED`]).
+//!
+//! Serving needs no construction: everything a replica needs travels
+//! in the bytes, so [`FrozenSpanner::decode`] or `open` load an artifact
+//! in another process without re-running FT-greedy. Two older layouts
+//! are *imported* on load and never written back by `encode`: the v1
+//! container and the monolithic-witness v2 layout. Both validate with
+//! the error codes they always had and are re-laid through the one
+//! canonical writer; [`FrozenSpanner::encode_v1`] still writes v1.
 //!
 //! The codec's contract, pinned by `tests/artifact_props.rs`:
 //!
@@ -52,15 +59,16 @@
 //!   typed errors, never misread (the compatibility policy).
 //!
 //! The `spanner-artifact` harness binary wraps the codec for the shell
-//! (`build` / `inspect` / `serve`), and CI round-trips an artifact
-//! through a fresh process on every push.
+//! (`build` / `inspect` / `migrate` / `serve`), and CI round-trips an
+//! artifact through a fresh process on every push.
 
 use crate::Spanner;
 use spanner_faults::{FaultModel, FaultSet};
 use spanner_graph::bytes::{read_u32_at, read_u64_at, SharedBytes};
-use spanner_graph::io::binary::{self, put_u32, put_u64, BinaryError, ByteReader, ContainerWriter};
+use spanner_graph::io::binary::{
+    self, put_u32, put_u64, BinaryError, ByteReader, ContainerWriter, SectionSource, SectionV2,
+};
 use spanner_graph::{EdgeId, FaultMask, FrozenCsr, Graph, GraphView, NodeId};
-use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,14 +77,14 @@ use std::sync::{Arc, OnceLock};
 /// Magic bytes of a persisted [`FrozenSpanner`] container.
 pub const ARTIFACT_MAGIC: [u8; 8] = *b"VFTSPANR";
 
-/// The v1 container format: tag/length section framing, eager decode.
-/// This is what freeze paths write by default; [`FrozenSpanner::decode`]
-/// accepts it forever.
+/// The v1 container format: tag/length section framing, byte-wise
+/// checksum. [`FrozenSpanner::decode`] imports it forever;
+/// [`FrozenSpanner::encode_v1`] still writes it.
 pub const ARTIFACT_VERSION: u32 = 1;
 
 /// The v2 container format: alignment-padded sections behind a 64-bit
-/// section table, readable **in place** via [`FrozenSpanner::open`].
-/// Produced by [`FrozenSpanner::to_v2`] / `spanner-artifact migrate`.
+/// section table, readable **in place** via [`FrozenSpanner::open`] —
+/// the format every artifact is held and written in.
 pub const ARTIFACT_VERSION_V2: u32 = 2;
 
 /// v2 header flag: the artifact is routing-only — the witness section
@@ -88,8 +96,9 @@ pub const FLAG_WITNESSES_DETACHED: u32 = 1;
 /// zero-padded to an 8-byte boundary and a [`SECTION_WITNESS_INDEX`]
 /// section carries per-edge offsets into it, so
 /// [`FrozenSpanner::witnesses_for`] decodes only the bytes of the edge
-/// it was asked about. Produced by [`FrozenSpanner::to_v2_sharded`] /
-/// `spanner-artifact migrate --shard`.
+/// it was asked about. Set on every canonical artifact that carries a
+/// witness map; a v2 container without it is the monolithic layout,
+/// imported on load.
 pub const FLAG_WITNESSES_SHARDED: u32 = 2;
 
 /// Construction metadata: stretch, model, budget, counts.
@@ -213,9 +222,10 @@ const NOT_KEPT: u32 = u32::MAX;
 /// their canonical `PARENT_EDGES` section bytes: `fwd_count u64`, the
 /// forward table (spanner edge → parent edge id, one `u32` each), then
 /// `inv_count u64` and the precomputed inverse (parent edge → spanner
-/// edge or `NOT_KEPT`). A freeze and a v1 decode write those bytes with
-/// [`TranslationTables::write`]; a v2 decode or open validates them
-/// where they lie ([`validate_tables_v2`]).
+/// edge or `NOT_KEPT`). A freeze writes those bytes with
+/// [`TranslationTables::write`]; every load validates them where they
+/// lie ([`validate_tables_v2`]). The v1 payload is byte-identical, so an
+/// import copies it.
 ///
 /// Both directions travel in the artifact. The inverse is derivable
 /// from the forward table, but *storing* it is what keeps decode's
@@ -234,27 +244,17 @@ struct TranslationTables {
 }
 
 impl TranslationTables {
-    /// Writes the canonical payload of a forward table and its inverse
-    /// into a fresh aligned buffer. The caller vouches that
-    /// `spanner_of_parent` is the inverse of `parent_edges`.
-    fn write(parent_edges: &[EdgeId], spanner_of_parent: &[u32]) -> Self {
-        let len = 16 + 4 * (parent_edges.len() + spanner_of_parent.len());
-        let bytes = SharedBytes::write_aligned(len, |out| {
-            put_u64(out, parent_edges.len() as u64);
-            for id in parent_edges {
-                put_u32(out, id.raw());
-            }
-            put_u64(out, spanner_of_parent.len() as u64);
-            for own in spanner_of_parent {
-                put_u32(out, *own);
-            }
-        });
-        TranslationTables {
-            bytes,
-            at: 0,
-            len,
-            fwd_count: parent_edges.len(),
-            inv_count: spanner_of_parent.len(),
+    /// Appends the canonical payload of a forward table and its inverse.
+    /// The caller vouches that `spanner_of_parent` is the inverse of
+    /// `parent_edges`.
+    fn write(out: &mut Vec<u8>, parent_edges: &[EdgeId], spanner_of_parent: &[u32]) {
+        put_u64(out, parent_edges.len() as u64);
+        for id in parent_edges {
+            put_u32(out, id.raw());
+        }
+        put_u64(out, spanner_of_parent.len() as u64);
+        for own in spanner_of_parent {
+            put_u32(out, *own);
         }
     }
 
@@ -280,49 +280,35 @@ impl TranslationTables {
     }
 }
 
-/// Where the parent graph lives: absent, decoded (freeze / v1 decode),
-/// or raw v2 section bytes decoded lazily on first use and memoized —
-/// clones share the memo cell, so one decode serves every handle.
+/// The `PARENT` section of an artifact that carries its parent graph:
+/// where it lies in the artifact's bytes, and the graph decoded (and
+/// cross-checked against the spanner) on first use. Clones share the
+/// memo cell, so one decode serves every handle.
 #[derive(Clone, Debug)]
-enum ParentStore {
-    None,
-    Eager(Arc<Graph>),
-    Lazy {
-        bytes: SharedBytes,
-        at: usize,
-        len: usize,
-        cell: Arc<OnceLock<Result<Arc<Graph>, ArtifactError>>>,
-    },
+struct ParentSection {
+    at: usize,
+    len: usize,
+    cell: Arc<OnceLock<Result<Arc<Graph>, ArtifactError>>>,
 }
 
-/// Where the witness map lives: decoded, raw v2 section bytes decoded
-/// lazily on first use (memoized, shared across clones), raw *sharded*
-/// v2 bytes behind a per-edge offset index (single records decoded on
-/// demand, the full map only when [`FrozenSpanner::witnesses`] forces
-/// it), or detached at build time (routing-only replica).
+/// The witness map: sharded records behind a validated per-edge offset
+/// index inside the artifact's bytes (single records decoded on demand,
+/// the full map only when [`FrozenSpanner::witnesses`] forces it), or
+/// detached at build time (routing-only replica).
 ///
-/// The `touched` counters meter witness-section bytes actually read —
+/// The `touched` counter meters witness-section bytes actually read —
 /// the instrumentation `witnessbench` and the sharded-access tests
-/// assert on. Shared across clones like the memo cells.
+/// assert on. Shared across clones like the memo cell.
 #[derive(Clone, Debug)]
 enum WitnessStore {
-    Eager(Vec<FaultSet>),
-    Lazy {
-        bytes: SharedBytes,
-        at: usize,
-        len: usize,
-        cell: Arc<OnceLock<Result<Vec<FaultSet>, ArtifactError>>>,
-        touched: Arc<AtomicU64>,
-    },
     Sharded {
-        bytes: SharedBytes,
-        /// Witness section range inside `bytes`.
+        /// Witness section range inside the artifact's bytes.
         at: usize,
         len: usize,
-        /// Witness-index section range inside `bytes`.
+        /// Witness-index section range inside the artifact's bytes.
         idx_at: usize,
         idx_len: usize,
-        /// Record count (validated against the payload header at decode).
+        /// Record count (validated against the payload header at load).
         count: usize,
         cell: Arc<OnceLock<Result<Vec<FaultSet>, ArtifactError>>>,
         touched: Arc<AtomicU64>,
@@ -348,56 +334,64 @@ enum WitnessStore {
 /// ```
 #[derive(Clone, Debug)]
 pub struct FrozenSpanner {
+    /// The canonical v2 container every accessor reads from.
+    bytes: SharedBytes,
     csr: FrozenCsr,
-    parent: ParentStore,
     tables: TranslationTables,
-    stretch: u64,
-    budget: Option<usize>,
-    model: FaultModel,
+    parent: Option<ParentSection>,
+    meta: MetaFields,
     witnesses: WitnessStore,
-    /// The container version this artifact round-trips through:
-    /// [`FrozenSpanner::encode`] re-emits the version the artifact was
-    /// decoded from (or built as), so canonical re-encode holds for both
-    /// formats.
-    version: u32,
-    /// Whether [`FrozenSpanner::encode`] writes the witness map sharded
-    /// ([`FLAG_WITNESSES_SHARDED`] + [`SECTION_WITNESS_INDEX`]). Carried
-    /// separately from the store so an eagerly-held map (the
-    /// [`FrozenSpanner::to_v2_sharded`] path) still encodes sharded.
-    sharded: bool,
 }
 
 impl FrozenSpanner {
-    /// Seals a bare spanner (no parent handle, no budget metadata, no
+    /// Seals a bare spanner (no parent, no budget metadata, no
     /// witnesses); the artifact [`Spanner::freeze`](crate::Spanner::freeze)
     /// builds.
     pub fn from_spanner(spanner: &Spanner) -> Self {
-        FrozenSpanner::assemble(spanner, None, None, FaultModel::Vertex, Vec::new())
+        FrozenSpanner::assemble(spanner, None, None, FaultModel::Vertex, &[])
     }
 
     /// Seals a spanner together with its construction metadata; the
     /// artifact [`FtSpanner::freeze`](crate::FtSpanner::freeze) builds.
+    /// Writes the canonical container straight from the borrowed
+    /// construction — spanner view, translation tables, witness sets and
+    /// parent graph — then validates it like [`FrozenSpanner::open`].
     pub(crate) fn assemble(
         spanner: &Spanner,
-        parent: Option<Arc<Graph>>,
+        parent: Option<&Graph>,
         budget: Option<usize>,
         model: FaultModel,
-        witnesses: Vec<FaultSet>,
+        witnesses: &[FaultSet],
     ) -> Self {
+        let view = spanner.graph();
         let parent_edges = spanner.parent_edge_ids();
-        let spanner_of_parent =
-            inverse_translation(parent.as_ref().map(|p| p.edge_count()), parent_edges);
-        FrozenSpanner {
-            csr: FrozenCsr::from_view(spanner.graph()),
-            tables: TranslationTables::write(parent_edges, &spanner_of_parent),
-            parent: parent.map_or(ParentStore::None, ParentStore::Eager),
+        let spanner_of_parent = inverse_translation(parent.map(|p| p.edge_count()), parent_edges);
+        let meta = MetaFields {
             stretch: spanner.stretch(),
-            budget,
             model,
-            witnesses: WitnessStore::Eager(witnesses),
-            version: ARTIFACT_VERSION,
-            sharded: false,
-        }
+            budget,
+            node_count: view.node_count(),
+            edge_count: view.edge_count(),
+        };
+        let csr = SectionSource {
+            tag: SECTION_SPANNER,
+            len: FrozenCsr::payload_len(view.node_count(), view.edge_count()),
+            write: Box::new(|out: &mut Vec<u8>| FrozenCsr::write_payload(view, out)),
+        };
+        let tables = SectionSource {
+            tag: SECTION_PARENT_EDGES,
+            len: 16 + 4 * (parent_edges.len() + spanner_of_parent.len()),
+            write: Box::new(|out: &mut Vec<u8>| {
+                TranslationTables::write(out, parent_edges, &spanner_of_parent)
+            }),
+        };
+        let parent = parent.map(|p| SectionSource {
+            tag: SECTION_PARENT,
+            len: binary::view_payload_len(p.edge_count()),
+            write: Box::new(move |out: &mut Vec<u8>| binary::write_view_payload(p, out)),
+        });
+        write_canonical(&meta, csr, tables, Some(witnesses), parent)
+            .expect("a freeze writes a valid canonical container")
     }
 
     /// The packed adjacency queries run over.
@@ -417,25 +411,19 @@ impl FrozenSpanner {
 
     /// The stretch target the spanner was built for.
     pub fn stretch(&self) -> u64 {
-        self.stretch
+        self.meta.stretch
     }
 
     /// The fault budget the spanner was built for (`None` when frozen
     /// from a bare [`Spanner`], which records none).
     pub fn budget(&self) -> Option<usize> {
-        self.budget
+        self.meta.budget
     }
 
     /// The fault model of the construction (meaningful when
     /// [`FrozenSpanner::budget`] is set).
     pub fn model(&self) -> FaultModel {
-        self.model
-    }
-
-    /// The container version this artifact round-trips through
-    /// ([`ARTIFACT_VERSION`] or [`ARTIFACT_VERSION_V2`]).
-    pub fn version(&self) -> u32 {
-        self.version
+        self.meta.model
     }
 
     /// Whether the witness section was detached at build time
@@ -444,140 +432,97 @@ impl FrozenSpanner {
         matches!(self.witnesses, WitnessStore::Detached)
     }
 
-    /// Whether the witness map travels sharded: per-record 8-aligned
-    /// padding plus a [`SECTION_WITNESS_INDEX`] offset index, so
-    /// [`FrozenSpanner::witnesses_for`] touches only the queried edge's
-    /// bytes.
-    pub fn witnesses_sharded(&self) -> bool {
-        self.sharded
-    }
-
     /// Witness-section bytes this artifact has actually read so far:
-    /// index entries plus record extents for sharded per-edge access,
-    /// the whole section once for a forced monolithic decode. Always 0
-    /// for eagerly-decoded or detached stores — the meter exists for the
-    /// lazy serving paths, where "how many bytes did that lookup fault
-    /// in" is the quantity `witnessbench` gates.
+    /// index entries plus record extents for per-edge access, the whole
+    /// witness and index sections once when [`FrozenSpanner::witnesses`]
+    /// forces the full map. Always 0 for a detached artifact, and for
+    /// an import whose witness map was decoded on the way in — the
+    /// meter exists for the serving paths, where "how many bytes did
+    /// that lookup fault in" is the quantity `witnessbench` gates.
     pub fn witness_bytes_touched(&self) -> u64 {
         match &self.witnesses {
-            WitnessStore::Lazy { touched, .. } | WitnessStore::Sharded { touched, .. } => {
-                touched.load(Ordering::Relaxed)
-            }
-            _ => 0,
+            WitnessStore::Sharded { touched, .. } => touched.load(Ordering::Relaxed),
+            WitnessStore::Detached => 0,
         }
     }
 
-    /// The parent graph handle, when the artifact carries one.
+    /// The parent graph, when the artifact carries one.
     ///
-    /// On an artifact loaded via [`FrozenSpanner::open`] the parent
-    /// section is decoded (and fully cross-checked against the spanner)
-    /// on first use, then memoized — including a memoized failure.
+    /// The parent section is decoded (and fully cross-checked against
+    /// the spanner) on first use, then memoized — including a memoized
+    /// failure.
     ///
     /// # Errors
     ///
-    /// [`ArtifactError`] when the lazily-decoded parent section is
-    /// corrupt or contradicts the spanner sections. Artifacts built in
-    /// process or decoded eagerly never fail here.
+    /// [`ArtifactError`] when the parent section is corrupt or
+    /// contradicts the spanner sections. Artifacts built in process or
+    /// loaded with [`FrozenSpanner::decode`] never fail here.
     pub fn parent(&self) -> Result<Option<&Arc<Graph>>, ArtifactError> {
-        match &self.parent {
-            ParentStore::None => Ok(None),
-            ParentStore::Eager(g) => Ok(Some(g)),
-            ParentStore::Lazy {
-                bytes,
-                at,
-                len,
-                cell,
-            } => {
-                let res = cell.get_or_init(|| {
-                    let payload = &bytes.as_slice()[*at..*at + *len];
-                    let parent = parse_parent_payload(payload)?;
-                    self.check_parent_consistency(&parent)?;
-                    Ok(Arc::new(parent))
-                });
-                match res {
-                    Ok(g) => Ok(Some(g)),
-                    Err(e) => Err(e.clone()),
-                }
-            }
+        let Some(p) = &self.parent else {
+            return Ok(None);
+        };
+        let res = p.cell.get_or_init(|| {
+            let payload = &self.bytes.as_slice()[p.at..p.at + p.len];
+            parse_checked_parent(payload, &self.csr, &self.tables).map(Arc::new)
+        });
+        match res {
+            Ok(g) => Ok(Some(g)),
+            Err(e) => Err(e.clone()),
         }
     }
 
     /// The recorded witness fault sets, indexed by spanner edge id
     /// (empty when frozen from a bare spanner).
     ///
-    /// On an artifact loaded via [`FrozenSpanner::open`] the witness
-    /// section is decoded on first use, then memoized.
+    /// The whole witness section is decoded on first use, then
+    /// memoized; per-edge serving should prefer
+    /// [`FrozenSpanner::witnesses_for`].
     ///
     /// # Errors
     ///
     /// [`ArtifactError::WitnessesDetached`] on a routing-only replica;
-    /// otherwise an [`ArtifactError`] when the lazily-decoded witness
-    /// section is corrupt.
+    /// otherwise an [`ArtifactError`] when a witness record is corrupt.
     pub fn witnesses(&self) -> Result<&[FaultSet], ArtifactError> {
-        match &self.witnesses {
-            WitnessStore::Eager(w) => Ok(w),
-            WitnessStore::Detached => Err(ArtifactError::WitnessesDetached),
-            WitnessStore::Lazy {
-                bytes,
-                at,
-                len,
-                cell,
-                touched,
-            } => {
-                let res = cell.get_or_init(|| {
-                    touched.fetch_add(*len as u64, Ordering::Relaxed);
-                    let payload = &bytes.as_slice()[*at..*at + *len];
-                    parse_witness_payload(payload, self.node_count(), self.edge_count())
-                });
-                match res {
-                    Ok(w) => Ok(w),
-                    Err(e) => Err(e.clone()),
-                }
-            }
-            WitnessStore::Sharded {
-                bytes,
-                at,
-                len,
-                idx_at,
-                idx_len,
-                cell,
-                touched,
-                ..
-            } => {
-                let res = cell.get_or_init(|| {
-                    touched.fetch_add((*len + *idx_len) as u64, Ordering::Relaxed);
-                    let data = bytes.as_slice();
-                    parse_sharded_witness_payload(
-                        &data[*at..*at + *len],
-                        &data[*idx_at..*idx_at + *idx_len],
-                        self.node_count(),
-                        self.edge_count(),
-                    )
-                });
-                match res {
-                    Ok(w) => Ok(w),
-                    Err(e) => Err(e.clone()),
-                }
-            }
+        let WitnessStore::Sharded {
+            at,
+            len,
+            idx_at,
+            idx_len,
+            cell,
+            touched,
+            ..
+        } = &self.witnesses
+        else {
+            return Err(ArtifactError::WitnessesDetached);
+        };
+        let res = cell.get_or_init(|| {
+            touched.fetch_add((*len + *idx_len) as u64, Ordering::Relaxed);
+            let data = self.bytes.as_slice();
+            parse_sharded_witness_payload(
+                &data[*at..*at + *len],
+                &data[*idx_at..*idx_at + *idx_len],
+                self.node_count(),
+                self.edge_count(),
+            )
+        });
+        match res {
+            Ok(w) => Ok(w),
+            Err(e) => Err(e.clone()),
         }
     }
 
     /// The witness fault set of one spanner edge.
     ///
-    /// On a sharded artifact ([`FrozenSpanner::witnesses_sharded`]) this
-    /// is the page-granular path: two index entries locate edge `e`'s
-    /// record and only that record's bytes are read and decoded —
-    /// O(|F_e|) per call, no up-front scan, nothing memoized. Every
-    /// other store answers from the full map (forcing the one-shot
-    /// monolithic decode on a lazy store). An artifact carrying no
-    /// witness map (frozen from a bare [`Spanner`]) answers with an
-    /// empty set in the artifact's fault model.
+    /// This is the page-granular path: two index entries locate edge
+    /// `e`'s record and only that record's bytes are read and decoded —
+    /// O(|F_e|) per call, no up-front scan, nothing memoized. An
+    /// artifact carrying no witness map (frozen from a bare [`Spanner`])
+    /// answers with an empty set in the artifact's fault model.
     ///
     /// # Errors
     ///
     /// [`ArtifactError::WitnessesDetached`] on a routing-only replica;
-    /// otherwise an [`ArtifactError`] when the lazily-read record (or,
-    /// for monolithic stores, section) is corrupt.
+    /// otherwise an [`ArtifactError`] when the record is corrupt.
     ///
     /// # Panics
     ///
@@ -585,45 +530,32 @@ impl FrozenSpanner {
     pub fn witnesses_for(&self, edge: EdgeId) -> Result<FaultSet, ArtifactError> {
         let i = edge.index();
         assert!(i < self.edge_count(), "spanner edge out of range");
-        match &self.witnesses {
-            WitnessStore::Detached => Err(ArtifactError::WitnessesDetached),
-            WitnessStore::Eager(sets) => Ok(sets
-                .get(i)
-                .cloned()
-                .unwrap_or_else(|| FaultSet::empty(self.model))),
-            WitnessStore::Lazy { .. } => {
-                let sets = self.witnesses()?;
-                Ok(sets
-                    .get(i)
-                    .cloned()
-                    .unwrap_or_else(|| FaultSet::empty(self.model)))
-            }
-            WitnessStore::Sharded {
-                bytes,
-                at,
-                idx_at,
-                count,
-                touched,
-                ..
-            } => {
-                if *count == 0 {
-                    return Ok(FaultSet::empty(self.model));
-                }
-                // The offset index was validated at decode/open time
-                // (monotone, 8-aligned, bracketed by the payload), so
-                // these two reads and the record slice are in bounds.
-                let data = bytes.as_slice();
-                let start = read_u64_at(data, idx_at + 8 + 8 * i) as usize;
-                let next = read_u64_at(data, idx_at + 8 + 8 * (i + 1)) as usize;
-                touched.fetch_add(16 + (next - start) as u64, Ordering::Relaxed);
-                parse_sharded_witness_record(
-                    &data[*at + start..*at + next],
-                    i,
-                    self.node_count(),
-                    self.edge_count(),
-                )
-            }
+        let WitnessStore::Sharded {
+            at,
+            idx_at,
+            count,
+            touched,
+            ..
+        } = &self.witnesses
+        else {
+            return Err(ArtifactError::WitnessesDetached);
+        };
+        if *count == 0 {
+            return Ok(FaultSet::empty(self.meta.model));
         }
+        // The offset index was validated at load time (monotone,
+        // 8-aligned, bracketed by the payload), so these two reads and
+        // the record slice are in bounds.
+        let data = self.bytes.as_slice();
+        let start = read_u64_at(data, idx_at + 8 + 8 * i) as usize;
+        let next = read_u64_at(data, idx_at + 8 + 8 * (i + 1)) as usize;
+        touched.fetch_add(16 + (next - start) as u64, Ordering::Relaxed);
+        parse_sharded_witness_record(
+            &data[*at + start..*at + next],
+            i,
+            self.node_count(),
+            self.edge_count(),
+        )
     }
 
     /// Parent edge id of a spanner edge.
@@ -669,14 +601,27 @@ impl FrozenSpanner {
             }
         }
     }
+
+    /// Fills the memo cells with a parent graph and witness map an
+    /// import already decoded and validated, so forcing them later does
+    /// not decode the same data a second time.
+    fn memoize(self, parent: Option<Arc<Graph>>, witnesses: Vec<FaultSet>) -> Self {
+        if let (Some(p), Some(graph)) = (&self.parent, parent) {
+            let _ = p.cell.set(Ok(graph));
+        }
+        if let WitnessStore::Sharded { cell, .. } = &self.witnesses {
+            let _ = cell.set(Ok(witnesses));
+        }
+        self
+    }
 }
 
 /// Builds the parent→spanner inverse of a `parent_edges` table: one slot
-/// per parent edge id (the parent's edge count when the handle is
+/// per parent edge id (the parent's edge count when the parent is
 /// available, otherwise just enough to cover the referenced ids),
 /// `NOT_KEPT` where the parent edge did not survive. Shared by
-/// [`FrozenSpanner::assemble`] and [`FrozenSpanner::decode`] so the two
-/// construction paths cannot drift.
+/// [`FrozenSpanner::assemble`] and the v1 import so the two cannot
+/// drift.
 fn inverse_translation(parent_edge_count: Option<usize>, parent_edges: &[EdgeId]) -> Vec<u32> {
     let slots = parent_edge_count.unwrap_or(0).max(
         parent_edges
@@ -692,7 +637,12 @@ fn inverse_translation(parent_edge_count: Option<usize>, parent_edges: &[EdgeId]
     spanner_of_parent
 }
 
-/// The fields of a parsed `META` section.
+/// Byte length of the `META` payload: stretch u64, model u8, budget
+/// flag u8, budget u64, node count u64, edge count u64.
+const META_PAYLOAD_LEN: usize = 8 + 1 + 1 + 8 + 8 + 8;
+
+/// The fields of a `META` section.
+#[derive(Clone, Debug)]
 struct MetaFields {
     stretch: u64,
     model: FaultModel,
@@ -701,7 +651,24 @@ struct MetaFields {
     edge_count: usize,
 }
 
-/// Parses the 35-byte `META` payload (identical in v1 and v2).
+impl MetaFields {
+    /// Appends the [`META_PAYLOAD_LEN`]-byte `META` payload (identical
+    /// in v1 and v2).
+    fn write(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.stretch);
+        out.push(match self.model {
+            FaultModel::Vertex => 0,
+            FaultModel::Edge => 1,
+        });
+        out.push(self.budget.is_some() as u8);
+        put_u64(out, self.budget.unwrap_or(0) as u64);
+        put_u64(out, self.node_count as u64);
+        put_u64(out, self.edge_count as u64);
+    }
+}
+
+/// Parses the [`META_PAYLOAD_LEN`]-byte `META` payload (identical in v1
+/// and v2).
 fn parse_meta_payload(payload: &[u8]) -> Result<MetaFields, ArtifactError> {
     let mut r = ByteReader::new(payload);
     let stretch = r.u64("stretch")?;
@@ -748,25 +715,63 @@ fn parse_meta_payload(payload: &[u8]) -> Result<MetaFields, ArtifactError> {
     })
 }
 
-/// Serializes the `WITNESSES` section payload (identical in v1 and v2).
-fn witness_payload(sets: &[FaultSet]) -> Vec<u8> {
-    let mut witnesses = Vec::new();
-    put_u64(&mut witnesses, sets.len() as u64);
-    for set in sets {
-        witnesses.push(match set.model() {
-            FaultModel::Vertex => 0,
-            FaultModel::Edge => 1,
-        });
-        let (vs, es) = (set.vertex_faults(), set.edge_faults());
-        put_u64(&mut witnesses, set.len() as u64);
-        for v in vs {
-            put_u32(&mut witnesses, v.raw());
-        }
-        for e in es {
-            put_u32(&mut witnesses, e.raw());
-        }
+/// Appends one witness record body: model tag u8, length u64, then the
+/// ids. Identical in the monolithic and sharded layouts; only the
+/// framing around it differs.
+fn write_witness_record(out: &mut Vec<u8>, set: &FaultSet) {
+    out.push(match set.model() {
+        FaultModel::Vertex => 0,
+        FaultModel::Edge => 1,
+    });
+    put_u64(out, set.len() as u64);
+    for v in set.vertex_faults() {
+        put_u32(out, v.raw());
     }
-    witnesses
+    for e in set.edge_faults() {
+        put_u32(out, e.raw());
+    }
+}
+
+/// Byte length of one sharded witness record: its body zero-padded to
+/// the next 8-byte boundary, so every record starts aligned and the
+/// final offset closes the section aligned.
+fn sharded_record_len(set: &FaultSet) -> usize {
+    (9 + 4 * set.len()).next_multiple_of(binary::V2_SECTION_ALIGN)
+}
+
+/// The sharded `WITNESSES` section: `count u64`, then each record
+/// padded to [`sharded_record_len`].
+fn sharded_witness_section(sets: &[FaultSet]) -> SectionSource<'_> {
+    SectionSource {
+        tag: SECTION_WITNESSES,
+        len: 8 + sets.iter().map(sharded_record_len).sum::<usize>(),
+        write: Box::new(move |out: &mut Vec<u8>| {
+            put_u64(out, sets.len() as u64);
+            for set in sets {
+                let end = out.len() + sharded_record_len(set);
+                write_witness_record(out, set);
+                out.resize(end, 0);
+            }
+        }),
+    }
+}
+
+/// The `WITNESS_INDEX` section over [`sharded_witness_section`]:
+/// `count u64`, then the `count + 1` record-boundary offsets.
+fn witness_index_section(sets: &[FaultSet]) -> SectionSource<'_> {
+    SectionSource {
+        tag: SECTION_WITNESS_INDEX,
+        len: 8 * (sets.len() + 2),
+        write: Box::new(move |out: &mut Vec<u8>| {
+            put_u64(out, sets.len() as u64);
+            let mut offset = 8;
+            put_u64(out, offset as u64);
+            for set in sets {
+                offset += sharded_record_len(set);
+                put_u64(out, offset as u64);
+            }
+        }),
+    }
 }
 
 /// Parses and validates one witness record (model tag, length, ids)
@@ -821,9 +826,9 @@ fn parse_witness_record(
     })
 }
 
-/// Parses and validates a `WITNESSES` payload (monolithic layout:
-/// records packed back to back, no padding). Shared by v1 decode and
-/// the v2 lazy store.
+/// Parses and validates a monolithic `WITNESSES` payload (records packed
+/// back to back, no padding): the v1 layout and the monolithic v2
+/// layout, both imported on load.
 fn parse_witness_payload(
     payload: &[u8],
     node_count: usize,
@@ -860,7 +865,7 @@ fn parse_sharded_witness_record(
     let mut r = ByteReader::new(rec);
     let set = parse_witness_record(&mut r, i, node_count, edge_count)?;
     let body = 9 + 4 * set.len();
-    let padded = body.next_multiple_of(binary::V2_SECTION_ALIGN);
+    let padded = sharded_record_len(&set);
     if rec.len() != padded {
         return Err(BinaryError::WitnessIndex {
             context: "witness record",
@@ -884,10 +889,9 @@ fn parse_sharded_witness_record(
 /// Parses and validates a full sharded `WITNESSES` payload against its
 /// offset index: every record must start exactly where the index says,
 /// fill its indexed extent, and pass the shared per-record checks. This
-/// is the force-everything path ([`FrozenSpanner::witnesses`] on a
-/// sharded store, which the eager [`FrozenSpanner::decode`] uses to
-/// validate the whole file); per-edge serving goes through
-/// [`parse_sharded_witness_record`] directly.
+/// is the force-everything path ([`FrozenSpanner::witnesses`], which
+/// [`FrozenSpanner::decode`] uses to validate the whole file); per-edge
+/// serving goes through [`parse_sharded_witness_record`] directly.
 fn parse_sharded_witness_payload(
     payload: &[u8],
     idx_payload: &[u8],
@@ -922,42 +926,74 @@ fn parse_sharded_witness_payload(
     Ok(witnesses)
 }
 
-/// Serializes the sharded `WITNESSES` payload and its offset index:
-/// every record zero-padded to the next 8-byte boundary (so each starts
-/// aligned and the final offset closes the section aligned), offsets
-/// collected as the records are laid down. Returns
-/// `(witness_payload, index_payload)`.
-fn witness_payload_sharded(sets: &[FaultSet]) -> (Vec<u8>, Vec<u8>) {
-    let mut payload = Vec::new();
-    put_u64(&mut payload, sets.len() as u64);
-    let mut offsets = Vec::with_capacity(sets.len() + 1);
-    for set in sets {
-        offsets.push(payload.len() as u64);
-        payload.push(match set.model() {
-            FaultModel::Vertex => 0,
-            FaultModel::Edge => 1,
-        });
-        put_u64(&mut payload, set.len() as u64);
-        for v in set.vertex_faults() {
-            put_u32(&mut payload, v.raw());
-        }
-        for e in set.edge_faults() {
-            put_u32(&mut payload, e.raw());
-        }
-        payload.resize(payload.len().next_multiple_of(binary::V2_SECTION_ALIGN), 0);
+/// Parses a `PARENT` payload into a [`Graph`] (full simple-graph
+/// invariants re-enforced) whose node count must be the spanner's.
+fn parse_parent(payload: &[u8], node_count: usize) -> Result<Graph, ArtifactError> {
+    let mut r = ByteReader::new(payload);
+    let parent = binary::read_graph_payload(&mut r)?;
+    r.expect_drained("parent graph")?;
+    if parent.node_count() != node_count {
+        return Err(inconsistent(
+            "parent shape",
+            format!(
+                "parent has {} nodes, spanner has {node_count}",
+                parent.node_count()
+            ),
+        ));
     }
-    offsets.push(payload.len() as u64);
-    (payload, binary::write_offset_index(&offsets))
+    Ok(parent)
 }
 
-/// Parses a `PARENT` payload into a [`Graph`] (full simple-graph
-/// invariants re-enforced). Cross-checks against the spanner happen in
-/// `FrozenSpanner::check_parent_consistency` / the v1 decode body.
-fn parse_parent_payload(payload: &[u8]) -> Result<Graph, ArtifactError> {
-    let mut r = ByteReader::new(payload);
-    let graph = binary::read_graph_payload(&mut r)?;
-    r.expect_drained("parent graph")?;
-    Ok(graph)
+/// Checks that spanner edge `i` and parent edge `parent_edges[i]` agree
+/// in endpoints and weight, for every spanner edge.
+fn check_parent_edges(
+    parent: &Graph,
+    csr: &FrozenCsr,
+    parent_edges: impl Iterator<Item = EdgeId>,
+) -> Result<(), ArtifactError> {
+    for (own, parent_id) in parent_edges.enumerate() {
+        if parent_id.index() >= parent.edge_count() {
+            return Err(inconsistent(
+                "parent-edge table",
+                format!(
+                    "spanner edge {own} maps to parent edge {parent_id} but the parent has {} edges",
+                    parent.edge_count()
+                ),
+            ));
+        }
+        let own_id = EdgeId::new(own);
+        let e = parent.edge(parent_id);
+        if csr.edge_endpoints(own_id) != e.endpoints() || csr.edge_weight(own_id) != e.weight() {
+            return Err(inconsistent(
+                "parent-edge table",
+                format!("spanner edge {own} disagrees with parent edge {parent_id}"),
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Parses a `PARENT` payload ([`parse_parent`]) and cross-checks it
+/// against the translation tables: one inverse slot per parent edge,
+/// and every spanner edge present in the parent ([`check_parent_edges`]).
+fn parse_checked_parent(
+    payload: &[u8],
+    csr: &FrozenCsr,
+    tables: &TranslationTables,
+) -> Result<Graph, ArtifactError> {
+    let parent = parse_parent(payload, csr.node_count())?;
+    if tables.inv_count != parent.edge_count() {
+        return Err(inconsistent(
+            "parent-edge table",
+            format!(
+                "inverse has {} slots, parent has {} edges",
+                tables.inv_count,
+                parent.edge_count()
+            ),
+        ));
+    }
+    check_parent_edges(&parent, csr, (0..tables.fwd_count).map(|i| tables.fwd(i)))?;
+    Ok(parent)
 }
 
 /// Validates a v2 `PARENT_EDGES` section **in place** and returns the
@@ -1063,13 +1099,81 @@ fn validate_tables_v2(
     })
 }
 
+/// The one writer: lays out the canonical v2 container — `META`,
+/// `SPANNER`, `PARENT_EDGES`, the sharded `WITNESSES` (absent when
+/// `witnesses` is `None`: a routing-only replica), `PARENT` when given,
+/// then `WITNESS_INDEX` — straight into one aligned buffer, and loads it
+/// through the same validation as [`FrozenSpanner::open`].
+///
+/// # Errors
+///
+/// Whatever that validation finds. A freeze cannot fail it; an import
+/// can only where the older layout accepted something the canonical one
+/// refuses (a v1 spanner section with parallel edges).
+fn write_canonical<'a>(
+    meta: &'a MetaFields,
+    spanner: SectionSource<'a>,
+    tables: SectionSource<'a>,
+    witnesses: Option<&'a [FaultSet]>,
+    parent: Option<SectionSource<'a>>,
+) -> Result<FrozenSpanner, ArtifactError> {
+    let meta = SectionSource {
+        tag: SECTION_META,
+        len: META_PAYLOAD_LEN,
+        write: Box::new(move |out: &mut Vec<u8>| meta.write(out)),
+    };
+    let mut sections = vec![meta, spanner, tables];
+    sections.extend(witnesses.map(sharded_witness_section));
+    sections.extend(parent);
+    sections.extend(witnesses.map(witness_index_section));
+    let flags = if witnesses.is_some() {
+        FLAG_WITNESSES_SHARDED
+    } else {
+        FLAG_WITNESSES_DETACHED
+    };
+    let bytes = SharedBytes::write_aligned(binary::container_v2_len(&sections), |out| {
+        binary::write_container_v2(out, ARTIFACT_MAGIC, ARTIFACT_VERSION_V2, flags, sections);
+    });
+    FrozenSpanner::load_v2(bytes, false)
+}
+
+/// Re-lays a monolithic-witness v2 container — already checked up to
+/// its witness map by [`FrozenSpanner::load_v2`] — through the
+/// canonical writer. Its witness records are decoded here, so their
+/// errors surface now with the codes they always had; with `eager` the
+/// parent is checked first, the order [`FrozenSpanner::decode`] reports
+/// errors in for every layout.
+fn import_monolithic(
+    meta: &MetaFields,
+    csr: &FrozenCsr,
+    tables: &TranslationTables,
+    parent: Option<&[u8]>,
+    map: &[u8],
+    eager: bool,
+) -> Result<FrozenSpanner, ArtifactError> {
+    let parent_graph = match parent {
+        Some(payload) if eager => Some(Arc::new(parse_checked_parent(payload, csr, tables)?)),
+        _ => None,
+    };
+    let sets = parse_witness_payload(map, meta.node_count, meta.edge_count)?;
+    let frozen = write_canonical(
+        meta,
+        SectionSource::bytes(SECTION_SPANNER, csr.payload()),
+        SectionSource::bytes(SECTION_PARENT_EDGES, tables.payload()),
+        Some(&sets),
+        parent.map(|payload| SectionSource::bytes(SECTION_PARENT, payload)),
+    )?;
+    Ok(frozen.memoize(parent_graph, sets))
+}
+
 impl FrozenSpanner {
-    /// Serializes the artifact into the versioned `VFTSPANR` binary
-    /// container (spec: `docs/ARTIFACT_FORMAT.md`). The encoding is
-    /// canonical — the same artifact always yields the same bytes — and
-    /// self-contained: [`FrozenSpanner::decode`] rebuilds an artifact
-    /// that serves bit-identically, in any process, with no access to
-    /// the construction.
+    /// The artifact's bytes: the canonical v2 container (spec:
+    /// `docs/ARTIFACT_FORMAT.md`). The encoding is canonical — the same
+    /// artifact always yields the same bytes — and self-contained:
+    /// [`FrozenSpanner::decode`] or [`FrozenSpanner::open`] rebuild an
+    /// artifact that serves bit-identically, in any process, with no
+    /// access to the construction. A copy: the artifact already lives
+    /// in this form.
     ///
     /// # Examples
     ///
@@ -1085,196 +1189,86 @@ impl FrozenSpanner {
     /// # Ok::<(), spanner_core::frozen::ArtifactError>(())
     /// ```
     pub fn encode(&self) -> Vec<u8> {
-        match self.version {
-            ARTIFACT_VERSION_V2 => self.encode_v2(),
-            _ => self.encode_v1(),
-        }
+        self.bytes.as_slice().to_vec()
     }
 
-    /// The 35-byte `META` section payload (shared by both versions).
-    fn meta_payload(&self) -> Vec<u8> {
-        let mut meta = Vec::with_capacity(35);
-        put_u64(&mut meta, self.stretch);
-        meta.push(match self.model {
-            FaultModel::Vertex => 0,
-            FaultModel::Edge => 1,
-        });
-        meta.push(self.budget.is_some() as u8);
-        put_u64(&mut meta, self.budget.unwrap_or(0) as u64);
-        put_u64(&mut meta, self.node_count() as u64);
-        put_u64(&mut meta, self.edge_count() as u64);
-        meta
-    }
-
-    fn encode_v1(&self) -> Vec<u8> {
-        let mut spanner = Vec::new();
+    /// The same artifact as a v1 container (record framing, byte-wise
+    /// checksum, unpadded witness records), for consumers that still
+    /// read v1. [`FrozenSpanner::decode`] imports the result back to
+    /// this artifact. Forces the parent graph and witness map first, so
+    /// a corrupt section surfaces as an error rather than as bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`ArtifactError::WitnessesDetached`] for a routing-only replica
+    /// (v1 has no flag field to mark the absence); otherwise the error
+    /// of a corrupt parent or witness section.
+    pub fn encode_v1(&self) -> Result<Vec<u8>, ArtifactError> {
+        let sets = self.witnesses()?;
+        self.parent()?;
+        let mut meta = Vec::with_capacity(META_PAYLOAD_LEN);
+        self.meta.write(&mut meta);
+        let mut spanner = Vec::with_capacity(binary::view_payload_len(self.edge_count()));
         binary::write_view_payload(&self.csr, &mut spanner);
-
-        let sets = match &self.witnesses {
-            WitnessStore::Eager(sets) => sets,
-            // v1 artifacts are always eagerly decoded; lazy or detached
-            // stores only arise behind `version == 2`.
-            _ => unreachable!("v1 artifacts hold eager witness stores"),
-        };
-        let witnesses = witness_payload(sets);
-
+        let mut witnesses = Vec::new();
+        put_u64(&mut witnesses, sets.len() as u64);
+        for set in sets {
+            write_witness_record(&mut witnesses, set);
+        }
         let mut w = ContainerWriter::new(ARTIFACT_MAGIC, ARTIFACT_VERSION);
-        w.section(SECTION_META, &self.meta_payload())
+        w.section(SECTION_META, &meta)
             .section(SECTION_SPANNER, &spanner)
             .section(SECTION_PARENT_EDGES, self.tables.payload())
             .section(SECTION_WITNESSES, &witnesses);
-        if let ParentStore::Eager(parent) = &self.parent {
-            let mut payload = Vec::new();
-            binary::write_view_payload(parent.as_ref(), &mut payload);
-            w.section(SECTION_PARENT, &payload);
+        if let Some(p) = &self.parent {
+            w.section(SECTION_PARENT, &self.bytes.as_slice()[p.at..p.at + p.len]);
         }
-        w.finish()
+        Ok(w.finish())
     }
 
-    fn encode_v2(&self) -> Vec<u8> {
-        let mut flags = if self.witnesses_detached() {
-            FLAG_WITNESSES_DETACHED
-        } else {
-            0
-        };
-        if self.sharded {
-            flags |= FLAG_WITNESSES_SHARDED;
-        }
-        let mut w = binary::ContainerWriterV2::new(ARTIFACT_MAGIC, ARTIFACT_VERSION_V2, flags);
-        w.section(SECTION_META, self.meta_payload());
-        w.section(SECTION_SPANNER, self.csr.payload());
-        w.section(SECTION_PARENT_EDGES, self.tables.payload());
-        // The witness index (tag 6) sorts after the parent section (tag
-        // 5) in the canonical ascending-tag order, so it is held back
-        // here and emitted last.
-        let mut witness_index: Option<Cow<[u8]>> = None;
-        match &self.witnesses {
-            WitnessStore::Eager(sets) => {
-                if self.sharded {
-                    let (payload, idx) = witness_payload_sharded(sets);
-                    w.section(SECTION_WITNESSES, payload);
-                    witness_index = Some(Cow::Owned(idx));
-                } else {
-                    w.section(SECTION_WITNESSES, witness_payload(sets));
-                }
-            }
-            // Lazily-held sections re-emit their raw (validated) bytes,
-            // so re-encoding never forces a decode and stays canonical.
-            WitnessStore::Lazy { bytes, at, len, .. } => {
-                w.section(SECTION_WITNESSES, &bytes.as_slice()[*at..*at + *len]);
-            }
-            WitnessStore::Sharded {
-                bytes,
-                at,
-                len,
-                idx_at,
-                idx_len,
-                ..
-            } => {
-                let data = bytes.as_slice();
-                w.section(SECTION_WITNESSES, &data[*at..*at + *len]);
-                witness_index = Some(Cow::Borrowed(&data[*idx_at..*idx_at + *idx_len]));
-            }
-            WitnessStore::Detached => {}
-        }
-        match &self.parent {
-            ParentStore::None => {}
-            ParentStore::Eager(parent) => {
-                let mut payload = Vec::new();
-                binary::write_view_payload(parent.as_ref(), &mut payload);
-                w.section(SECTION_PARENT, payload);
-            }
-            ParentStore::Lazy { bytes, at, len, .. } => {
-                w.section(SECTION_PARENT, &bytes.as_slice()[*at..*at + *len]);
-            }
-        }
-        if let Some(idx) = witness_index {
-            w.section(SECTION_WITNESS_INDEX, idx);
-        }
-        w.finish()
-    }
-
-    /// Re-versions this artifact as a v2 (in-place layout) container:
-    /// [`FrozenSpanner::encode`] then writes the alignment-padded v2
-    /// format [`FrozenSpanner::open`] reads in place. Content is
-    /// unchanged — this is the `spanner-artifact migrate` primitive, and
-    /// it is byte-canonical: the same artifact always yields the same
-    /// v2 bytes, and re-migrating a v2 artifact is the identity.
-    ///
-    /// Always produces the *monolithic* witness layout: on a sharded
-    /// artifact this is the unshard direction, and
-    /// `to_v2_sharded().to_v2()` round-trips to the original monolithic
-    /// bytes (the migrate identity `artifact_props.rs` pins).
-    ///
-    /// # Panics
-    ///
-    /// Panics when unsharding an [`FrozenSpanner::open`]ed artifact
-    /// whose (lazily-validated) witness records turn out corrupt —
-    /// untrusted bytes should go through [`FrozenSpanner::decode`],
-    /// which validates everything first.
-    pub fn to_v2(&self) -> FrozenSpanner {
-        let mut out = self.clone();
-        if matches!(self.witnesses, WitnessStore::Sharded { .. }) {
-            let sets = self
-                .witnesses()
-                .expect("sharded witness store failed validation")
-                .to_vec();
-            out.witnesses = WitnessStore::Eager(sets);
-        }
-        out.sharded = false;
-        out.version = ARTIFACT_VERSION_V2;
-        out
-    }
-
-    /// Re-versions this artifact as a v2 container with a **sharded**
-    /// witness map: records padded to 8-byte boundaries, a
-    /// [`SECTION_WITNESS_INDEX`] of per-edge offsets, and
-    /// [`FLAG_WITNESSES_SHARDED`] in the header, so a mapped replica's
-    /// [`FrozenSpanner::witnesses_for`] touches only the queried edge's
-    /// bytes. Byte-canonical like [`FrozenSpanner::to_v2`], and the
-    /// `spanner-artifact migrate --shard` primitive. A detached
-    /// (routing-only) artifact has no witness map to shard and passes
-    /// through unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the witness map must be forced from a lazily-opened
-    /// artifact whose witness section turns out corrupt — untrusted
-    /// bytes should go through [`FrozenSpanner::decode`] first.
+    /// This artifact, unchanged: every artifact is already held in the
+    /// canonical sharded-witness layout (or is a routing-only replica,
+    /// which has no witness map to shard). A clone — the memo cells and
+    /// the byte buffer are shared — kept for callers that name the
+    /// layout they serve.
     pub fn to_v2_sharded(&self) -> FrozenSpanner {
-        let mut out = self.clone();
-        if self.witnesses_detached() {
-            out.sharded = false;
-        } else {
-            let sets = self
-                .witnesses()
-                .expect("witness store failed validation")
-                .to_vec();
-            out.witnesses = WitnessStore::Eager(sets);
-            out.sharded = true;
-        }
-        out.version = ARTIFACT_VERSION_V2;
-        out
+        self.clone()
     }
 
-    /// A routing-only copy of this artifact: the witness section (which
-    /// dominates artifact size) is dropped, the v2 header carries
+    /// A routing-only copy of this artifact: the witness sections (which
+    /// dominate artifact size) are dropped, the v2 header carries
     /// [`FLAG_WITNESSES_DETACHED`], and [`FrozenSpanner::witnesses`]
-    /// returns [`ArtifactError::WitnessesDetached`]. Always a v2
-    /// artifact — v1 has no flag field to mark the absence.
+    /// returns [`ArtifactError::WitnessesDetached`]. Copies the other
+    /// sections' bytes as they are — it reads no witness record, so it
+    /// cannot fail on one.
     pub fn detach_witnesses(&self) -> FrozenSpanner {
-        let mut out = self.clone();
-        out.witnesses = WitnessStore::Detached;
-        out.sharded = false;
-        out.version = ARTIFACT_VERSION_V2;
-        out
+        if self.witnesses_detached() {
+            return self.clone();
+        }
+        let parent = self.parent.as_ref().map(|p| {
+            SectionSource::bytes(SECTION_PARENT, &self.bytes.as_slice()[p.at..p.at + p.len])
+        });
+        write_canonical(
+            &self.meta,
+            SectionSource::bytes(SECTION_SPANNER, self.csr.payload()),
+            SectionSource::bytes(SECTION_PARENT_EDGES, self.tables.payload()),
+            None,
+            parent,
+        )
+        .expect("a valid artifact's sections re-lay as a valid container")
     }
 
-    /// Deserializes an artifact previously produced by
-    /// [`FrozenSpanner::encode`], revalidating every invariant the
-    /// serving layer relies on (translation tables in range, witness map
-    /// sized to the edge set, spanner edges present in the parent with
-    /// identical endpoints and weights).
+    /// Loads an artifact from bytes in any supported layout, revalidating
+    /// every invariant the serving layer relies on (translation tables
+    /// in range, witness map sized to the edge set, spanner edges
+    /// present in the parent with identical endpoints and weights) —
+    /// the parent graph and every witness record included.
+    ///
+    /// Canonical bytes (what [`FrozenSpanner::encode`] writes) load as
+    /// [`FrozenSpanner::open`] over an aligned copy, with the parent and
+    /// witness map forced; a v1 container or a monolithic-witness v2
+    /// container is imported: validated with the codes it always had,
+    /// then re-laid as the canonical container.
     ///
     /// # Errors
     ///
@@ -1285,14 +1279,26 @@ impl FrozenSpanner {
         // Dispatch on the declared version field; each branch then
         // re-validates the whole container (checksum first) for its
         // format, so a lying version field still fails closed.
-        if bytes.len() >= 12 && bytes[8..12] == ARTIFACT_VERSION_V2.to_le_bytes() {
-            Self::decode_v2(SharedBytes::copy_aligned(bytes), true)
+        let frozen = if bytes.len() >= 12 && bytes[8..12] == ARTIFACT_VERSION_V2.to_le_bytes() {
+            Self::load_v2(SharedBytes::copy_aligned(bytes), true)?
         } else {
-            Self::decode_v1(bytes)
+            Self::import_v1(bytes)?
+        };
+        // Force (and memoize) the parent and witness map so decode()
+        // means "the whole file is valid". A detached witness store is
+        // not an invalid file.
+        frozen.parent()?;
+        match frozen.witnesses() {
+            Ok(_) | Err(ArtifactError::WitnessesDetached) => {}
+            Err(e) => return Err(e),
         }
+        Ok(frozen)
     }
 
-    fn decode_v1(bytes: &[u8]) -> Result<FrozenSpanner, ArtifactError> {
+    /// Imports a v1 container: every section validated with the v1
+    /// codes, then re-laid through the canonical writer with the parent
+    /// graph and witness map it decoded memoized.
+    fn import_v1(bytes: &[u8]) -> Result<FrozenSpanner, ArtifactError> {
         let container = binary::parse_container(bytes, ARTIFACT_MAGIC, ARTIFACT_VERSION)?;
         for section in &container.sections {
             if !matches!(
@@ -1314,7 +1320,6 @@ impl FrozenSpanner {
 
         // META: the declared shape everything else is checked against.
         let meta = parse_meta_payload(require(SECTION_META, "meta")?)?;
-        let (stretch, model, budget) = (meta.stretch, meta.model, meta.budget);
         let (node_count, edge_count) = (meta.node_count, meta.edge_count);
 
         // SPANNER: the packed adjacency, cross-checked against META.
@@ -1333,23 +1338,10 @@ impl FrozenSpanner {
         }
 
         // PARENT (optional): full simple-graph invariants re-enforced.
-        let parent = match container.section(SECTION_PARENT) {
+        let parent_payload = container.section(SECTION_PARENT);
+        let parent = match parent_payload {
             None => None,
-            Some(payload) => {
-                let mut r = ByteReader::new(payload);
-                let graph = binary::read_graph_payload(&mut r)?;
-                r.expect_drained("parent graph")?;
-                if graph.node_count() != node_count {
-                    return Err(inconsistent(
-                        "parent shape",
-                        format!(
-                            "parent has {} nodes, spanner has {node_count}",
-                            graph.node_count()
-                        ),
-                    ));
-                }
-                Some(Arc::new(graph))
-            }
+            Some(payload) => Some(Arc::new(parse_parent(payload, node_count)?)),
         };
 
         // PARENT_EDGES: both translation directions. The stored inverse
@@ -1358,7 +1350,8 @@ impl FrozenSpanner {
         // path would have derived — never re-derived from the forward
         // ids, whose attacker-controlled maximum would otherwise size
         // the table (and the allocation) unboundedly.
-        let mut r = ByteReader::new(require(SECTION_PARENT_EDGES, "parent-edge table")?);
+        let tables_payload = require(SECTION_PARENT_EDGES, "parent-edge table")?;
+        let mut r = ByteReader::new(tables_payload);
         let count = r.count(4, "parent-edge count")?;
         if count != edge_count {
             return Err(inconsistent(
@@ -1411,27 +1404,7 @@ impl FrozenSpanner {
             ));
         }
         if let Some(parent) = &parent {
-            for (own, parent_id) in parent_edges.iter().enumerate() {
-                if parent_id.index() >= parent.edge_count() {
-                    return Err(inconsistent(
-                        "parent-edge table",
-                        format!(
-                            "spanner edge {own} maps to parent edge {parent_id} but the parent has {} edges",
-                            parent.edge_count()
-                        ),
-                    ));
-                }
-                let own_id = EdgeId::new(own);
-                let e = parent.edge(*parent_id);
-                if csr.edge_endpoints(own_id) != e.endpoints()
-                    || csr.edge_weight(own_id) != e.weight()
-                {
-                    return Err(inconsistent(
-                        "parent-edge table",
-                        format!("spanner edge {own} disagrees with parent edge {parent_id}"),
-                    ));
-                }
-            }
+            check_parent_edges(parent, &csr, parent_edges.iter().copied())?;
         }
 
         // WITNESSES: indexed by spanner edge id; ids validated against
@@ -1444,28 +1417,30 @@ impl FrozenSpanner {
             edge_count,
         )?;
 
-        Ok(FrozenSpanner {
-            csr,
-            parent: parent.map_or(ParentStore::None, ParentStore::Eager),
-            tables: TranslationTables::write(&parent_edges, &spanner_of_parent),
-            stretch,
-            budget,
-            model,
-            witnesses: WitnessStore::Eager(witnesses),
-            version: ARTIFACT_VERSION,
-            sharded: false,
-        })
+        // The v1 table and parent payloads are byte-identical to their
+        // canonical sections; the adjacency is re-laid as the v2 CSR.
+        let frozen = write_canonical(
+            &meta,
+            SectionSource::bytes(SECTION_SPANNER, csr.payload()),
+            SectionSource::bytes(SECTION_PARENT_EDGES, tables_payload),
+            Some(&witnesses),
+            parent_payload.map(|payload| SectionSource::bytes(SECTION_PARENT, payload)),
+        )?;
+        Ok(frozen.memoize(parent, witnesses))
     }
 
-    /// Parses a v2 container over `shared`. With `eager` set (the
-    /// [`FrozenSpanner::decode`] path) the witness and parent sections
-    /// are forced immediately, so the call validates the whole file;
-    /// without it (the [`FrozenSpanner::open`] path) they stay raw bytes
-    /// until first use and open cost is O(sections + tables scan), with
-    /// no per-record materialization of the packed CSR.
-    fn decode_v2(shared: SharedBytes, eager: bool) -> Result<FrozenSpanner, ArtifactError> {
+    /// Loads a v2 container over `bytes` after every check `open`
+    /// makes before serving: envelope, flags, section set and order,
+    /// `META`, the `SPANNER` CSR, the translation tables and the witness
+    /// offset index. Canonical bytes are then served where they lie,
+    /// the parent and witness records left for their first use; a
+    /// monolithic-witness container is imported
+    /// ([`import_monolithic`]). `eager` is the
+    /// [`FrozenSpanner::decode`] path, which checks the parent before an
+    /// import decodes the witness map.
+    fn load_v2(bytes: SharedBytes, eager: bool) -> Result<FrozenSpanner, ArtifactError> {
         let container = binary::parse_container_v2(
-            shared.as_slice(),
+            bytes.as_slice(),
             ARTIFACT_MAGIC,
             ARTIFACT_VERSION_V2,
             FLAG_WITNESSES_DETACHED | FLAG_WITNESSES_SHARDED,
@@ -1516,8 +1491,8 @@ impl FrozenSpanner {
                 .section(tag)
                 .ok_or(BinaryError::MissingSection { name })
         };
-        let data = shared.as_slice();
-        let section_bytes = |s: binary::SectionV2| &data[s.offset..s.offset + s.len];
+        let data = bytes.as_slice();
+        let section_bytes = |s: SectionV2| &data[s.offset..s.offset + s.len];
 
         let meta = parse_meta_payload(section_bytes(require(SECTION_META, "meta")?))?;
 
@@ -1525,7 +1500,7 @@ impl FrozenSpanner {
         // adjacency ≡ canonical derivation, no duplicate edges — then
         // read where it lies, not rebuilt.
         let sp = require(SECTION_SPANNER, "spanner adjacency")?;
-        let csr = FrozenCsr::from_bytes(shared.clone(), sp.offset, sp.len)?;
+        let csr = FrozenCsr::from_bytes(bytes.clone(), sp.offset, sp.len)?;
         csr.check_simple()?;
         if csr.node_count() != meta.node_count || csr.edge_count() != meta.edge_count {
             return Err(inconsistent(
@@ -1540,109 +1515,78 @@ impl FrozenSpanner {
             ));
         }
 
-        let parent_section = container.section(SECTION_PARENT);
+        let parent = container.section(SECTION_PARENT);
         let pe = require(SECTION_PARENT_EDGES, "parent-edge table")?;
-        let tables = validate_tables_v2(
-            &shared,
-            pe.offset,
-            pe.len,
-            meta.edge_count,
-            parent_section.is_some(),
-        )?;
+        let tables =
+            validate_tables_v2(&bytes, pe.offset, pe.len, meta.edge_count, parent.is_some())?;
 
-        let parent = match parent_section {
-            None => ParentStore::None,
-            Some(p) => ParentStore::Lazy {
-                bytes: shared.clone(),
-                at: p.offset,
-                len: p.len,
-                cell: Arc::new(OnceLock::new()),
-            },
-        };
         let witnesses = if detached {
             WitnessStore::Detached
         } else {
-            let w = require(SECTION_WITNESSES, "witness map")?;
-            if sharded {
-                // The offset index is validated up front — O(count)
-                // over the index section only, never the payload — so
-                // per-edge access can slice records without any bounds
-                // arithmetic of its own.
-                let idx = require(SECTION_WITNESS_INDEX, "witness index")?;
-                let count = binary::parse_offset_index(section_bytes(idx), 8, w.len as u64)?;
-                let declared = read_u64_at(data, w.offset) as usize;
-                if declared != count {
-                    return Err(BinaryError::WitnessIndex {
-                        context: "witness index",
-                        detail: format!(
-                            "index holds {count} records, witness map declares {declared}"
-                        ),
-                    }
-                    .into());
+            let map = require(SECTION_WITNESSES, "witness map")?;
+            if !sharded {
+                let parent = parent.map(section_bytes);
+                let map = section_bytes(map);
+                return import_monolithic(&meta, &csr, &tables, parent, map, eager);
+            }
+            // The offset index is validated up front — O(count) over the
+            // index section only, never the payload — so per-edge access
+            // can slice records without any bounds arithmetic of its own.
+            let index = require(SECTION_WITNESS_INDEX, "witness index")?;
+            let count = binary::parse_offset_index(section_bytes(index), 8, map.len as u64)?;
+            let declared = read_u64_at(data, map.offset) as usize;
+            if declared != count {
+                return Err(BinaryError::WitnessIndex {
+                    context: "witness index",
+                    detail: format!("index holds {count} records, witness map declares {declared}"),
                 }
-                if count != 0 && count != meta.edge_count {
-                    return Err(inconsistent(
-                        "witness map",
-                        format!("{count} witness sets for {} spanner edges", meta.edge_count),
-                    ));
-                }
-                WitnessStore::Sharded {
-                    bytes: shared.clone(),
-                    at: w.offset,
-                    len: w.len,
-                    idx_at: idx.offset,
-                    idx_len: idx.len,
-                    count,
-                    cell: Arc::new(OnceLock::new()),
-                    touched: Arc::new(AtomicU64::new(0)),
-                }
-            } else {
-                WitnessStore::Lazy {
-                    bytes: shared.clone(),
-                    at: w.offset,
-                    len: w.len,
-                    cell: Arc::new(OnceLock::new()),
-                    touched: Arc::new(AtomicU64::new(0)),
-                }
+                .into());
+            }
+            if count != 0 && count != meta.edge_count {
+                return Err(inconsistent(
+                    "witness map",
+                    format!("{count} witness sets for {} spanner edges", meta.edge_count),
+                ));
+            }
+            WitnessStore::Sharded {
+                at: map.offset,
+                len: map.len,
+                idx_at: index.offset,
+                idx_len: index.len,
+                count,
+                cell: Arc::new(OnceLock::new()),
+                touched: Arc::new(AtomicU64::new(0)),
             }
         };
-
-        let frozen = FrozenSpanner {
+        Ok(FrozenSpanner {
+            parent: parent.map(|p| ParentSection {
+                at: p.offset,
+                len: p.len,
+                cell: Arc::new(OnceLock::new()),
+            }),
+            bytes,
             csr,
-            parent,
             tables,
-            stretch: meta.stretch,
-            budget: meta.budget,
-            model: meta.model,
+            meta,
             witnesses,
-            version: ARTIFACT_VERSION_V2,
-            sharded,
-        };
-        if eager {
-            // Force (and memoize) the lazy sections so decode() means
-            // "the whole file is valid", exactly as it does for v1. A
-            // detached witness store is not an invalid file.
-            frozen.parent()?;
-            match frozen.witnesses() {
-                Ok(_) | Err(ArtifactError::WitnessesDetached) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(frozen)
+        })
     }
 
-    /// Opens a v2 artifact **in place**: the packed adjacency and
-    /// translation tables are validated and then *borrowed* from
-    /// `bytes` (an mmap'd file, an aligned heap buffer, …) with no `Vec`
-    /// rebuild; the witness map and parent graph are decoded lazily on
-    /// first use. Open cost is O(header + validation scans) — the
-    /// cold-start path for "build once, serve from thousands of
-    /// replicas".
+    /// Opens a v2 artifact **in place**: the packed adjacency,
+    /// translation tables and witness index are validated and then
+    /// *borrowed* from `bytes` (an mmap'd file, an aligned heap buffer,
+    /// …) with no `Vec` rebuild; the parent graph and each witness
+    /// record are decoded on first use. Open cost is O(header +
+    /// validation scans) — the cold-start path for "build once, serve
+    /// from thousands of replicas".
     ///
-    /// v1 artifacts are rejected with a typed
-    /// [`BinaryError::UnsupportedVersion`] (run `spanner-artifact
-    /// migrate` first); [`FrozenSpanner::decode`] keeps accepting them
-    /// forever.
+    /// A monolithic-witness v2 container is imported instead: its
+    /// witness map is decoded and the artifact re-laid into a fresh
+    /// canonical buffer, so the result does not borrow `bytes` (run
+    /// `spanner-artifact migrate` once to serve it in place). v1
+    /// artifacts are rejected with a typed
+    /// [`BinaryError::UnsupportedVersion`]; [`FrozenSpanner::decode`]
+    /// keeps importing them forever.
     ///
     /// # Errors
     ///
@@ -1652,64 +1596,13 @@ impl FrozenSpanner {
     /// cannot size an allocation beyond the bytes present.
     pub fn open(bytes: SharedBytes) -> Result<MappedSpanner, ArtifactError> {
         Ok(MappedSpanner {
-            inner: Self::decode_v2(bytes, false)?,
+            inner: Self::load_v2(bytes, false)?,
         })
-    }
-
-    /// Full parent cross-checks, shared by the lazy (v2) decode path:
-    /// the parent must agree with the spanner and translation tables in
-    /// shape, ids, endpoints, and weights.
-    fn check_parent_consistency(&self, parent: &Graph) -> Result<(), ArtifactError> {
-        if parent.node_count() != self.node_count() {
-            return Err(inconsistent(
-                "parent shape",
-                format!(
-                    "parent has {} nodes, spanner has {}",
-                    parent.node_count(),
-                    self.node_count()
-                ),
-            ));
-        }
-        // Canonical inverse size when a parent travels with the
-        // artifact: one slot per parent edge.
-        if self.tables.inv_count != parent.edge_count() {
-            return Err(inconsistent(
-                "parent-edge table",
-                format!(
-                    "inverse has {} slots, parent has {} edges",
-                    self.tables.inv_count,
-                    parent.edge_count()
-                ),
-            ));
-        }
-        for own in 0..self.tables.fwd_count {
-            let parent_id = self.tables.fwd(own);
-            if parent_id.index() >= parent.edge_count() {
-                return Err(inconsistent(
-                    "parent-edge table",
-                    format!(
-                        "spanner edge {own} maps to parent edge {parent_id} but the parent has {} edges",
-                        parent.edge_count()
-                    ),
-                ));
-            }
-            let own_id = EdgeId::new(own);
-            let e = parent.edge(parent_id);
-            if self.csr.edge_endpoints(own_id) != e.endpoints()
-                || self.csr.edge_weight(own_id) != e.weight()
-            {
-                return Err(inconsistent(
-                    "parent-edge table",
-                    format!("spanner edge {own} disagrees with parent edge {parent_id}"),
-                ));
-            }
-        }
-        Ok(())
     }
 }
 
-/// An artifact opened in place over a shared byte buffer — the result
-/// of [`FrozenSpanner::open`]. Derefs to [`FrozenSpanner`], so every
+/// An artifact opened over a shared byte buffer — the result of
+/// [`FrozenSpanner::open`]. Derefs to [`FrozenSpanner`], so every
 /// serving API works unchanged; the wrapper exists to make "this came
 /// from the zero-copy path" explicit in signatures like
 /// `EpochServer::from_mapped`.
@@ -1763,7 +1656,15 @@ mod tests {
         assert_eq!(frozen.stretch(), 3);
         assert_eq!(frozen.budget(), Some(1));
         assert_eq!(frozen.model(), FaultModel::Vertex);
-        assert_eq!(frozen.version(), ARTIFACT_VERSION);
+        assert_eq!(
+            frozen.encode()[8..16],
+            [
+                ARTIFACT_VERSION_V2.to_le_bytes(),
+                FLAG_WITNESSES_SHARDED.to_le_bytes()
+            ]
+            .concat(),
+            "a freeze is held as the canonical sharded v2 container"
+        );
         assert_eq!(frozen.witnesses().unwrap(), ft.witnesses());
         assert_eq!(
             frozen.parent_edge_ids().collect::<Vec<_>>(),
@@ -1812,6 +1713,25 @@ mod tests {
         let bytes = frozen.encode();
         let back = FrozenSpanner::decode(&bytes).unwrap();
         assert_eq!(back.encode(), bytes, "re-encoding must be byte-identical");
+        let container = binary::parse_container_v2(
+            &bytes,
+            ARTIFACT_MAGIC,
+            ARTIFACT_VERSION_V2,
+            FLAG_WITNESSES_SHARDED,
+        )
+        .unwrap();
+        assert_eq!(container.section(SECTION_META).unwrap().len, 34);
+        assert_eq!(META_PAYLOAD_LEN, 34);
+        let v1 = frozen.encode_v1().unwrap();
+        let v1_container = binary::parse_container(&v1, ARTIFACT_MAGIC, ARTIFACT_VERSION).unwrap();
+        assert_eq!(v1_container.section(SECTION_META).unwrap().len(), 34);
+        let imported = FrozenSpanner::decode(&v1).unwrap();
+        assert_eq!(
+            imported.encode(),
+            bytes,
+            "a v1 import re-lays as the canonical bytes"
+        );
+        assert_eq!(imported.encode_v1().unwrap(), v1);
         assert_eq!(back.node_count(), frozen.node_count());
         assert_eq!(back.edge_count(), frozen.edge_count());
         assert_eq!(back.stretch(), frozen.stretch());
@@ -1906,11 +1826,16 @@ mod tests {
         cases.push((FrozenCsr::from_view(&pending), mirror));
         for (i, (frozen, g)) in cases.iter().enumerate() {
             let bare = Spanner::from_parent_edges(g, g.edge_ids(), 3).freeze();
-            let v1_decoded = FrozenSpanner::decode(&bare.encode()).unwrap();
+            let v1_decoded = FrozenSpanner::decode(&bare.encode_v1().unwrap()).unwrap();
             assert_eq!(v1_decoded.csr().payload(), frozen.payload(), "graph {i}");
-            let v2 = bare.to_v2().encode();
-            let container =
-                binary::parse_container_v2(&v2, ARTIFACT_MAGIC, ARTIFACT_VERSION_V2, 0).unwrap();
+            let v2 = bare.encode();
+            let container = binary::parse_container_v2(
+                &v2,
+                ARTIFACT_MAGIC,
+                ARTIFACT_VERSION_V2,
+                FLAG_WITNESSES_SHARDED,
+            )
+            .unwrap();
             let sp = container.section(SECTION_SPANNER).unwrap();
             assert_eq!(
                 frozen.payload(),
@@ -1950,20 +1875,22 @@ mod tests {
     #[test]
     fn decode_rejects_truncation_and_corruption_everywhere() {
         let g = complete(7);
-        let bytes = FtGreedy::new(&g, 3).faults(1).run().freeze(&g).encode();
-        for len in 0..bytes.len() {
-            assert!(
-                FrozenSpanner::decode(&bytes[..len]).is_err(),
-                "truncation to {len} bytes must fail"
-            );
-        }
-        for i in (0..bytes.len()).step_by(3) {
-            let mut corrupt = bytes.clone();
-            corrupt[i] ^= 0x2a;
-            assert!(
-                FrozenSpanner::decode(&corrupt).is_err(),
-                "flipping byte {i} must be detected"
-            );
+        let frozen = FtGreedy::new(&g, 3).faults(1).run().freeze(&g);
+        for bytes in [frozen.encode(), frozen.encode_v1().unwrap()] {
+            for len in 0..bytes.len() {
+                assert!(
+                    FrozenSpanner::decode(&bytes[..len]).is_err(),
+                    "truncation to {len} bytes must fail"
+                );
+            }
+            for i in (0..bytes.len()).step_by(3) {
+                let mut corrupt = bytes.clone();
+                corrupt[i] ^= 0x2a;
+                assert!(
+                    FrozenSpanner::decode(&corrupt).is_err(),
+                    "flipping byte {i} must be detected"
+                );
+            }
         }
     }
 
@@ -2135,7 +2062,7 @@ mod tests {
     fn decode_rejects_unknown_version_and_section() {
         let g = cycle(4);
         let frozen = Spanner::from_parent_edges(&g, g.edge_ids(), 3).freeze();
-        let bytes = frozen.encode();
+        let bytes = frozen.encode_v1().unwrap();
         let mut future = bytes.clone();
         future[8..12].copy_from_slice(&99u32.to_le_bytes());
         let body_len = future.len() - 8;

@@ -7,7 +7,9 @@
 //! graphs, both fault models, and budgets `f ∈ {0, 1, 2}`:
 //!
 //! * **Canonical roundtrip** — `decode(encode(a))` re-encodes to the
-//!   exact original bytes (so artifacts can be content-addressed);
+//!   exact original bytes (so artifacts can be content-addressed), and
+//!   the imported layouts — v1 and monolithic v2 — load as those same
+//!   bytes;
 //! * **Serving bit-identity** — an [`EpochServer`] over the decoded
 //!   artifact answers every epoch'd `route_batch` identically (routes,
 //!   edges, distances, errors) to an engine over the original, for
@@ -15,6 +17,8 @@
 //!   the artifact's own witness fault sets;
 //! * **Hostile-input safety** — truncating the byte stream at any point
 //!   or flipping any byte yields a typed error, never a panic.
+
+mod common;
 
 use proptest::prelude::*;
 use spanner_core::routing::{Route, RouteError};
@@ -81,7 +85,16 @@ proptest! {
         // Canonical roundtrip: decode, then re-encode byte-identically.
         let bytes = original.encode();
         let decoded = Arc::new(FrozenSpanner::decode(&bytes).expect("own encoding must decode"));
-        prop_assert_eq!(decoded.encode(), bytes);
+        prop_assert_eq!(decoded.encode(), bytes.clone());
+
+        // The two imported layouts land on the same canonical bytes, and
+        // the v1 writer reproduces the v1 input.
+        let v1 = original.encode_v1().expect("a freeze carries its witnesses");
+        let from_v1 = FrozenSpanner::decode(&v1).expect("own v1 encoding must decode");
+        prop_assert_eq!(from_v1.encode(), bytes.clone());
+        prop_assert_eq!(from_v1.encode_v1().unwrap(), v1);
+        let mono = common::monolithic_v2(&original);
+        prop_assert_eq!(FrozenSpanner::decode(&mono).expect("monolithic v2 must decode").encode(), bytes);
 
         // Serving bit-identity over a schedule of epochs: the random
         // failure set (within or beyond budget), the empty epoch, and a
@@ -171,7 +184,7 @@ fn decoded_artifact_drives_the_worker_pool() {
 fn future_versions_are_refused_not_guessed() {
     let g = spanner_graph::generators::cycle(5);
     let ft = FtGreedy::new(&g, 3).faults(1).run();
-    let v1 = ft.freeze(&g).encode();
+    let v1 = ft.freeze(&g).encode_v1().unwrap();
     // Reseal with the checksum the declared version's parser will
     // verify (byte-wise for the v1 lineage, word-wise for v2), so the
     // *version/framing* gate is what trips, not the checksum.
@@ -195,35 +208,33 @@ fn future_versions_are_refused_not_guessed() {
     assert_eq!(err.code(), "artifact/malformed", "{err}");
 }
 
-/// Exhaustive single-corruption sweep over a complete v2 artifact:
-/// *every* truncation point and *every* single-bit flip must yield a
-/// typed error — never a panic, never an accept. The proptests above
-/// sample this space; for the v2 envelope the artifact is small enough
-/// to sweep it whole.
+/// Exhaustive single-corruption sweep over a complete v2 artifact, in
+/// the canonical layout and in the monolithic-witness layout the
+/// decoder imports: *every* truncation point and *every* single-bit
+/// flip must yield a typed error — never a panic, never an accept. The
+/// proptests above sample this space; for the v2 envelope the artifact
+/// is small enough to sweep it whole.
 #[test]
 fn v2_rejects_every_truncation_and_every_bit_flip() {
     let g = spanner_graph::generators::complete(6);
-    let v2 = FtGreedy::new(&g, 3)
-        .faults(1)
-        .run()
-        .freeze(&g)
-        .to_v2()
-        .encode();
-    FrozenSpanner::decode(&v2).expect("the uncorrupted artifact decodes");
-    for cut in 0..v2.len() {
-        assert!(
-            FrozenSpanner::decode(&v2[..cut]).is_err(),
-            "truncation to {cut} bytes was accepted"
-        );
-    }
-    for at in 0..v2.len() {
-        for bit in 0..8 {
-            let mut corrupt = v2.clone();
-            corrupt[at] ^= 1 << bit;
+    let frozen = FtGreedy::new(&g, 3).faults(1).run().freeze(&g);
+    for v2 in [frozen.encode(), common::monolithic_v2(&frozen)] {
+        FrozenSpanner::decode(&v2).expect("the uncorrupted artifact decodes");
+        for cut in 0..v2.len() {
             assert!(
-                FrozenSpanner::decode(&corrupt).is_err(),
-                "flipping bit {bit} of byte {at} was accepted"
+                FrozenSpanner::decode(&v2[..cut]).is_err(),
+                "truncation to {cut} bytes was accepted"
             );
+        }
+        for at in 0..v2.len() {
+            for bit in 0..8 {
+                let mut corrupt = v2.clone();
+                corrupt[at] ^= 1 << bit;
+                assert!(
+                    FrozenSpanner::decode(&corrupt).is_err(),
+                    "flipping bit {bit} of byte {at} was accepted"
+                );
+            }
         }
     }
 }
@@ -250,12 +261,7 @@ fn open_rejects_an_offset_by_one_buffer() {
     }
 
     let g = spanner_graph::generators::complete(6);
-    let v2 = FtGreedy::new(&g, 3)
-        .faults(1)
-        .run()
-        .freeze(&g)
-        .to_v2()
-        .encode();
+    let v2 = FtGreedy::new(&g, 3).faults(1).run().freeze(&g).encode();
     let mut buf = vec![0u8; v2.len() + 16];
     let start = (8 - buf.as_ptr() as usize % 8) % 8 + 1;
     buf[start..start + v2.len()].copy_from_slice(&v2);

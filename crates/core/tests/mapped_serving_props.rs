@@ -76,7 +76,7 @@ proptest! {
     ) {
         let model = if edge_model { FaultModel::Edge } else { FaultModel::Vertex };
         let ft = FtGreedy::new(&g, 3).faults(f).model(model).run();
-        let v2 = ft.freeze(&g).to_v2().encode();
+        let v2 = ft.freeze(&g).encode();
 
         let owned = Arc::new(FrozenSpanner::decode(&v2).expect("v2 must decode"));
         let shared = SharedBytes::copy_aligned(&v2);

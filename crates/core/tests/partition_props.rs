@@ -82,7 +82,7 @@ proptest! {
         prop_assert_eq!(ft.witnesses().len(), ft.spanner().edge_count());
 
         // Freeze → v2 encode → open must round-trip the stitched union.
-        let v2 = ft.freeze(&g).to_v2().encode();
+        let v2 = ft.freeze(&g).encode();
         let owned = Arc::new(FrozenSpanner::decode(&v2).expect("v2 must decode"));
         prop_assert_eq!(owned.edge_count(), ft.spanner().edge_count());
         prop_assert_eq!(owned.budget(), Some(f));

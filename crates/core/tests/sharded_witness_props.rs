@@ -1,16 +1,17 @@
 //! The sharded witness map must be invisible in the answers and
 //! fail-closed everywhere else.
 //!
-//! PR 10 added the v2 sharded witness layout: records padded to the
-//! 8-byte grid, a per-edge offset index (tag 6), and a page-granular
-//! `witnesses_for` that touches only the queried edge's bytes. These
-//! tests pin the three contracts that make the layout trustworthy:
+//! The v2 sharded witness layout — records padded to the 8-byte grid,
+//! a per-edge offset index (tag 6), and a page-granular `witnesses_for`
+//! that touches only the queried edge's bytes — is the layout every
+//! artifact is held in. These tests pin the contracts that make it
+//! trustworthy:
 //!
 //! * **round-trip** — across random graphs, both fault models, and
 //!   budgets `f ∈ {0, 1, 2}`, the owned decode and the zero-copy open
 //!   of a sharded artifact answer `witnesses_for(e)` bit-identically to
 //!   the construction for every edge, re-encode canonically, and the
-//!   migrate pair shard∘unshard is the byte-level identity;
+//!   older monolithic layout imports to the same bytes;
 //! * **hostile input** — every truncation and every bit flip of a
 //!   sharded artifact is a typed error, never a panic, and directed
 //!   probes on the offset index (out-of-range, non-monotone,
@@ -18,7 +19,12 @@
 //!   land on the `artifact/witness-index` code;
 //! * **page granularity** — the instrumented bytes-touched counter
 //!   proves a single sharded lookup reads two index entries plus one
-//!   record, while the monolithic path pays the whole section.
+//!   record, while forcing the full map pays both witness sections;
+//! * **no panic on an opened artifact** — a corrupt record found only
+//!   after a lazy open surfaces as a typed error from every accessor
+//!   that reads it, and never from those that do not.
+
+mod common;
 
 use proptest::prelude::*;
 use spanner_core::frozen::{
@@ -102,13 +108,13 @@ proptest! {
         let model = if edge_model { FaultModel::Edge } else { FaultModel::Vertex };
         let frozen = FtGreedy::new(&g, 3).faults(f).model(model).run().freeze(&g);
         let expected = frozen.witnesses().unwrap().to_vec();
-        let mono = frozen.to_v2().encode();
         let sharded = frozen.to_v2_sharded().encode();
+        prop_assert_eq!(&sharded, &frozen.encode(), "a freeze is held sharded");
+        let mono = common::monolithic_v2(&frozen);
         prop_assert_ne!(&mono, &sharded, "the layouts must be distinguishable");
 
         // Owned decode: full eager validation, canonical re-encode.
         let owned = FrozenSpanner::decode(&sharded).expect("sharded v2 must decode");
-        prop_assert!(owned.witnesses_sharded());
         prop_assert_eq!(owned.encode(), sharded.clone(), "re-encoding must be byte-identical");
         prop_assert_eq!(owned.witnesses().unwrap(), expected.as_slice());
 
@@ -119,7 +125,6 @@ proptest! {
         let buf = shared.as_slice().as_ptr_range();
         let csr = mapped.csr().payload().as_ptr_range();
         prop_assert!(buf.start <= csr.start && csr.end <= buf.end, "open() must borrow, not copy");
-        prop_assert!(mapped.witnesses_sharded());
         for (e, wanted) in expected.iter().enumerate() {
             let id = EdgeId::new(e);
             let from_mapped = mapped.witnesses_for(id).unwrap();
@@ -130,18 +135,16 @@ proptest! {
                 "edge {} diverged (owned)", e
             );
         }
-        prop_assert_eq!(mapped.encode(), sharded, "mapped re-encode must be byte-identical");
+        prop_assert_eq!(mapped.encode(), sharded.clone(), "mapped re-encode must be byte-identical");
 
-        // The migrate pair: shard then unshard is the identity, in both
-        // construction orders (from the in-process artifact and from a
-        // decoded one).
-        prop_assert_eq!(owned.to_v2().encode(), mono.clone(), "unshard(shard(a)) != a");
+        // The monolithic layout imports to the same canonical bytes
+        // through both load paths, with the same witness sets.
         let mono_decoded = FrozenSpanner::decode(&mono).expect("monolithic v2 must decode");
-        prop_assert_eq!(
-            mono_decoded.to_v2_sharded().encode(),
-            frozen.to_v2_sharded().encode(),
-            "shard must be canonical regardless of the artifact's provenance"
-        );
+        prop_assert_eq!(mono_decoded.encode(), sharded.clone(), "decode must import canonically");
+        prop_assert_eq!(mono_decoded.witnesses().unwrap(), expected.as_slice());
+        let mono_opened = FrozenSpanner::open(SharedBytes::copy_aligned(&mono))
+            .expect("monolithic v2 must open");
+        prop_assert_eq!(mono_opened.encode(), sharded, "open must import canonically");
     }
 }
 
@@ -251,12 +254,7 @@ fn directed_index_probes_land_on_the_witness_index_code() {
 #[test]
 fn sharded_flag_without_the_index_section_is_missing_section() {
     let g = spanner_graph::generators::complete(7);
-    let mut mono = FtGreedy::new(&g, 3)
-        .faults(1)
-        .run()
-        .freeze(&g)
-        .to_v2()
-        .encode();
+    let mut mono = common::monolithic_v2(&FtGreedy::new(&g, 3).faults(1).run().freeze(&g));
     mono[12..16].copy_from_slice(&FLAG_WITNESSES_SHARDED.to_le_bytes());
     reseal(&mut mono);
     let err = FrozenSpanner::decode(&mono).unwrap_err();
@@ -294,11 +292,9 @@ fn dirty_record_padding_is_rejected_eagerly_and_lazily() {
 fn sharded_lookup_touches_only_the_indexed_record() {
     let g = spanner_graph::generators::complete(10);
     let frozen = FtGreedy::new(&g, 3).faults(2).run().freeze(&g);
-    let sharded = frozen.to_v2_sharded().encode();
-    let mono = frozen.to_v2().encode();
-    let (idx_at, _) = section_range(&sharded, SECTION_WITNESS_INDEX);
+    let sharded = frozen.encode();
+    let (idx_at, idx_len) = section_range(&sharded, SECTION_WITNESS_INDEX);
     let (_, w_len) = section_range(&sharded, SECTION_WITNESSES);
-    let (_, mono_w_len) = section_range(&mono, SECTION_WITNESSES);
 
     let mapped = FrozenSpanner::open(SharedBytes::copy_aligned(&sharded)).unwrap();
     assert_eq!(
@@ -327,20 +323,21 @@ fn sharded_lookup_touches_only_the_indexed_record() {
         "a single record must be a strict subset of the section"
     );
 
-    // The monolithic artifact pays the whole section for the same
+    // Forcing the full map pays both witness sections for the same
     // question.
-    let mono_mapped = FrozenSpanner::open(SharedBytes::copy_aligned(&mono)).unwrap();
-    mono_mapped.witnesses_for(EdgeId::new(e)).unwrap();
-    let mono_touched = mono_mapped.witness_bytes_touched();
-    assert_eq!(mono_touched, mono_w_len as u64);
+    let forced = FrozenSpanner::open(SharedBytes::copy_aligned(&sharded)).unwrap();
+    let all = forced.witnesses().unwrap();
+    assert_eq!(all[e], mapped.witnesses_for(EdgeId::new(e)).unwrap());
+    let full_touched = forced.witness_bytes_touched();
+    assert_eq!(full_touched, (w_len + idx_len) as u64);
     assert!(
-        touched * 5 <= mono_touched,
-        "sharded lookup must touch ≥5× fewer bytes ({touched} vs {mono_touched})"
+        touched * 5 <= full_touched,
+        "a per-edge lookup must touch ≥5× fewer bytes ({touched} vs {full_touched})"
     );
-    // A second lookup on the monolithic path is free (memoized); the
-    // sharded path meters each record it actually reads.
-    mono_mapped.witnesses_for(EdgeId::new(e + 1)).unwrap();
-    assert_eq!(mono_mapped.witness_bytes_touched(), mono_touched);
+    // Forcing again is free (memoized); per-edge lookups meter each
+    // record they actually read.
+    forced.witnesses().unwrap();
+    assert_eq!(forced.witness_bytes_touched(), full_touched);
 }
 
 #[test]
@@ -350,9 +347,8 @@ fn bare_and_detached_artifacts_interact_sanely_with_sharding() {
     // stays canonical.
     let g = spanner_graph::generators::cycle(6);
     let bare = Spanner::from_parent_edges(&g, [EdgeId::new(1), EdgeId::new(4)], 5).freeze();
-    let sharded = bare.to_v2_sharded().encode();
+    let sharded = bare.encode();
     let back = FrozenSpanner::decode(&sharded).unwrap();
-    assert!(back.witnesses_sharded());
     assert_eq!(back.encode(), sharded);
     assert_eq!(
         back.witnesses_for(EdgeId::new(0)).unwrap(),
@@ -361,15 +357,56 @@ fn bare_and_detached_artifacts_interact_sanely_with_sharding() {
     let mapped = FrozenSpanner::open(SharedBytes::copy_aligned(&sharded)).unwrap();
     assert!(mapped.witnesses_for(EdgeId::new(1)).unwrap().is_empty());
 
-    // A routing-only replica has nothing to shard: the migrate is a
-    // no-op and witness lookups keep refusing with the typed error.
+    // A routing-only replica has nothing to shard: `to_v2_sharded` is
+    // a no-op and witness lookups keep refusing with the typed error.
     let (frozen, _) = sharded_fixture();
     let detached = frozen.detach_witnesses();
     let resharded = detached.to_v2_sharded();
-    assert!(!resharded.witnesses_sharded());
+    assert!(resharded.witnesses_detached());
     assert_eq!(resharded.encode(), detached.encode());
     assert!(matches!(
         resharded.witnesses_for(EdgeId::new(0)),
         Err(ArtifactError::WitnessesDetached)
     ));
+}
+
+#[test]
+fn corrupt_witness_record_fails_typed_on_opened_artifacts_and_never_panics() {
+    let (frozen, bytes) = sharded_fixture();
+    // Record 0's model tag (after the payload's count header) becomes an
+    // unknown tag; the index stays valid, so a lazy open accepts the
+    // file and only readers of that record can notice.
+    let (w_at, _) = section_range(&bytes, SECTION_WITNESSES);
+    let mut m = bytes.clone();
+    m[w_at + 8] = 7;
+    reseal(&mut m);
+    let code = FrozenSpanner::decode(&m).unwrap_err().code();
+    assert_eq!(code, "artifact/malformed");
+
+    let opened = FrozenSpanner::open(SharedBytes::copy_aligned(&m)).expect("index is valid");
+    // Accessors that do not read witness records neither fail nor panic.
+    assert_eq!(opened.to_v2_sharded().encode(), m);
+    let detached = opened.detach_witnesses();
+    assert_eq!(detached.encode(), frozen.detach_witnesses().encode());
+    // Those that do read the record fail with the decoder's code.
+    assert_eq!(
+        opened.witnesses_for(EdgeId::new(0)).unwrap_err().code(),
+        code
+    );
+    opened
+        .witnesses_for(EdgeId::new(1))
+        .expect("other records keep serving");
+    assert_eq!(opened.witnesses().unwrap_err().code(), code);
+    assert_eq!(opened.encode_v1().unwrap_err().code(), code);
+
+    // The monolithic layout is imported on open, so open reports the
+    // corrupt record up front — with the code decode reports.
+    let mut mono = common::monolithic_v2(&frozen);
+    let (mono_w_at, _) = section_range(&mono, SECTION_WITNESSES);
+    mono[mono_w_at + 8] = 7;
+    reseal(&mut mono);
+    let decoded = FrozenSpanner::decode(&mono).unwrap_err();
+    let opened = FrozenSpanner::open(SharedBytes::copy_aligned(&mono)).unwrap_err();
+    assert_eq!(decoded.code(), code);
+    assert_eq!(opened.code(), decoded.code(), "{opened} vs {decoded}");
 }

@@ -38,6 +38,20 @@
 //!   the current fault set, maintained incrementally on push/pop — the
 //!   pre-PR-2 clone + sort of the fault vector per search node is gone.
 //!
+//! # Memo key collisions
+//!
+//! A memo hit is trusted without comparing fault sets. A collision —
+//! an unexplored set whose 128-bit key equals an explored one's — would
+//! skip that set's subtree; if it held the query's only blocking set,
+//! FT-greedy would drop an edge it must keep and the spanner could break
+//! the fault-tolerance contract. The risk is accepted: two sets collide
+//! with probability about 2⁻¹²⁸ ([`crate::fingerprint`]), the search
+//! only builds sets of at most `f` components, so even 10⁸ explored
+//! nodes leave any collision near 2⁻⁷⁵, and the end-to-end benchmark
+//! certifies every artifact it builds with the exact checker
+//! (`certify_vft_exact`). Serving's epoch interning, where a collision
+//! would mix two tenants' failures, does compare sets on a hit.
+//!
 //! Queries are generic over [`GraphView`], so FT-greedy points the oracle
 //! at the spanner's flat [`IncrementalCsr`](spanner_graph::IncrementalCsr)
 //! view while one-off callers keep passing a [`Graph`]. The frozen

@@ -17,10 +17,16 @@
 //!   cancellation patterns, giving an effectively 128-bit key.
 //!
 //! Two distinct sets colliding requires both halves to collide at once;
-//! with SplitMix64-quality hashes that is a ~2⁻¹²⁸ event per pair, which
-//! is the same trust the construction-side memo has always placed in
-//! these keys. Callers that cannot tolerate even that may additionally
-//! compare the materialized sets on a key hit.
+//! with SplitMix64-quality hashes that is a ~2⁻¹²⁸ event per pair. The
+//! branching oracle's memo trusts a key hit: a collision would skip an
+//! unexplored fault set, could miss a blocking set and drop an edge the
+//! contract needs — a risk accepted for its negligible chance and
+//! because exact certification gates every benchmarked artifact (the
+//! full argument is in `branching.rs`, beside the
+//! [`BranchingOracle`](crate::BranchingOracle) memo). Serving's epoch
+//! interning compares the fault lists on every hit, because a collision
+//! there would route one tenant's queries around another tenant's
+//! failures.
 
 use crate::FaultModel;
 

@@ -26,7 +26,9 @@
 //! * **deterministic** — repeated decodes yield the identical stable
 //!   error code and message (the forensic-repeatability contract);
 //! * **canonical acceptance** — bytes that decode must re-encode to
-//!   exactly themselves (a mutant the codec accepts but would re-emit
+//!   exactly themselves in their own layout: canonical v2 through
+//!   `encode`, v1 through `encode_v1`, and monolithic v2 as a faithful
+//!   canonical import (a mutant the codec accepts but would re-emit
 //!   differently is a finding);
 //! * **allocation-bounded** — no single allocation during decode may
 //!   exceed [`alloc::decode_alloc_budget`] of the input length (when

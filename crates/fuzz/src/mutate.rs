@@ -27,7 +27,7 @@
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use spanner_graph::io::binary::{
-    fnv1a64, fnv1a64_words, put_u64, ContainerWriterV2, V2_HEADER_LEN, V2_SECTION_ENTRY_LEN,
+    encode_container_v2, fnv1a64, fnv1a64_words, put_u64, V2_HEADER_LEN, V2_SECTION_ENTRY_LEN,
 };
 
 /// Byte width of the v1 container header (magic[8] + version u32).
@@ -252,11 +252,8 @@ fn rebuild_v2(seed: &[u8], parts: Vec<(u32, Vec<u8>)>) -> Vec<u8> {
     magic.copy_from_slice(&seed[..8]);
     let version = u32::from_le_bytes(seed[8..12].try_into().unwrap());
     let flags = u32::from_le_bytes(seed[12..16].try_into().unwrap());
-    let mut w = ContainerWriterV2::new(magic, version, flags);
-    for (tag, payload) in parts {
-        w.section(tag, payload);
-    }
-    w.finish()
+    let parts: Vec<(u32, &[u8])> = parts.iter().map(|(tag, p)| (*tag, &p[..])).collect();
+    encode_container_v2(magic, version, flags, &parts)
 }
 
 /// The seeded structure-aware mutation engine.
@@ -532,11 +529,16 @@ mod tests {
 
     /// The same three sections in the v2 alignment-padded layout.
     fn sample_v2() -> Vec<u8> {
-        let mut w = ContainerWriterV2::new(*b"VFTSPANR", 2, 0);
-        w.section(1, vec![7u8; 34]);
-        w.section(2, 42u64.to_le_bytes().to_vec());
-        w.section(3, vec![1, 2, 3, 4, 5]);
-        w.finish()
+        encode_container_v2(
+            *b"VFTSPANR",
+            2,
+            0,
+            &[
+                (1, &[7u8; 34]),
+                (2, &42u64.to_le_bytes()),
+                (3, &[1, 2, 3, 4, 5]),
+            ],
+        )
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //!   [`DETERMINISM_RUNS`](spanner_harness::corpus::DETERMINISM_RUNS)
 //!   decodes is a [`FindingKind::NonDeterminism`];
 //! * **canonical acceptance** — accepted bytes that do not re-encode to
-//!   themselves are a [`FindingKind::NonCanonical`];
+//!   themselves in the layout they arrived in (the v1 encoding for v1,
+//!   a faithful canonical import for monolithic v2:
+//!   `canonical_acceptance` in [`spanner_harness::corpus`]) are a
+//!   [`FindingKind::NonCanonical`];
 //! * **allocation-bounded** — a single decode allocation above
 //!   [`decode_alloc_budget`] is a
 //!   [`FindingKind::AllocBudget`] (checked only when the counting

@@ -36,7 +36,8 @@ fn ft_artifact(g: &Graph, stretch: u64, f: usize, model: FaultModel) -> Vec<u8> 
         .model(model)
         .run()
         .freeze(g)
-        .encode()
+        .encode_v1()
+        .expect("a freeze carries its witness map")
 }
 
 /// `VFTSPANR` spanner-artifact seeds: both fault models, f ∈ {0, 1, 2},
@@ -65,7 +66,10 @@ pub fn spanner_seeds() -> Vec<Seed> {
             // Bare freeze: no parent, no budget, no witnesses — the
             // optional-section decode arms.
             name: "petersen-bare",
-            bytes: greedy_spanner(&generators::petersen(), 3).freeze().encode(),
+            bytes: greedy_spanner(&generators::petersen(), 3)
+                .freeze()
+                .encode_v1()
+                .expect("a freeze carries its witness map"),
         },
     ]
 }
@@ -95,39 +99,32 @@ pub fn graph_seeds() -> Vec<Seed> {
     ]
 }
 
-/// v2 (in-place layout) re-encodings of representative spanner seeds:
-/// one with every section present, one bare. Mutants of these reach the
-/// v2 envelope gates — section-table bounds, alignment, canonical
-/// offsets, padding — that no v1 seed can exercise. Witnesses stay
-/// attached: every seed must decode cleanly.
+/// Monolithic-witness v2 containers (the layout before the witness
+/// index): one with every section present, one bare. Mutants of these
+/// reach the v2 envelope gates — section-table bounds, alignment,
+/// canonical offsets, padding — that no v1 seed can exercise, and the
+/// monolithic import path. Nothing writes this layout any more, so the
+/// seeds are the committed corpus files the earlier writer produced
+/// (`complete6-f1-vertex` and `petersen-bare`, re-laid monolithic),
+/// byte for byte. Witnesses stay attached: every seed must decode
+/// cleanly.
 pub fn v2_seeds() -> Vec<Seed> {
-    use spanner_core::FrozenSpanner;
-    let migrate = |bytes: Vec<u8>| {
-        FrozenSpanner::decode(&bytes)
-            .expect("own seed bytes decode")
-            .to_v2()
-            .encode()
-    };
     vec![
         Seed {
             name: "complete6-f1-vertex-v2",
-            bytes: migrate(ft_artifact(
-                &generators::complete(6),
-                3,
-                1,
-                FaultModel::Vertex,
-            )),
+            bytes: include_bytes!("../../../fuzz/corpus/seed__ok__88b44a6bfbf11955.bin").to_vec(),
         },
         Seed {
             name: "petersen-bare-v2",
-            bytes: migrate(greedy_spanner(&generators::petersen(), 3).freeze().encode()),
+            bytes: include_bytes!("../../../fuzz/corpus/seed__ok__e23b5f99891d25de.bin").to_vec(),
         },
     ]
 }
 
-/// Sharded-witness v2 re-encodings: the per-edge offset index (tag 6)
-/// plus `FLAG_WITNESSES_SHARDED`. Mutants of these are the only way the
-/// random sampler reaches the index-validation gates — offset
+/// Canonical v2 containers: the sharded witness map, its per-edge
+/// offset index (tag 6) and `FLAG_WITNESSES_SHARDED` — what every
+/// artifact is held and written as. Mutants of these are the only way
+/// the random sampler reaches the index-validation gates — offset
 /// monotonicity and alignment, index/payload agreement, record padding —
 /// so both fault models ride along. Every seed still decodes cleanly.
 pub fn sharded_seeds() -> Vec<Seed> {
@@ -135,7 +132,6 @@ pub fn sharded_seeds() -> Vec<Seed> {
     let shard = |bytes: Vec<u8>| {
         FrozenSpanner::decode(&bytes)
             .expect("own seed bytes decode")
-            .to_v2_sharded()
             .encode()
     };
     let mut rng = StdRng::seed_from_u64(1009);
@@ -278,7 +274,7 @@ pub fn directed_probes() -> Vec<Probe> {
     }
 
     // v2 misaligned payload: nudge one section offset off the 8-byte
-    // grid in the richest seed's v2 re-encoding, resealed (word-wise,
+    // grid in the richest seed's monolithic v2 layout, resealed (word-wise,
     // via the version-aware `fix_checksum`) so the alignment gate —
     // checked before the canonical-position gate — is what trips:
     // `artifact/misaligned-section`.
@@ -316,7 +312,6 @@ pub fn directed_probes() -> Vec<Probe> {
     // on luck.
     let sharded = spanner_core::FrozenSpanner::decode(&seed)
         .expect("own seed bytes decode")
-        .to_v2_sharded()
         .encode();
     let s_sections = frame_sections(&sharded);
     let idx = s_sections

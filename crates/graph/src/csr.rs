@@ -486,43 +486,6 @@ fn decode_adj(record: &AdjRecord) -> (NodeId, EdgeId, Weight) {
     )
 }
 
-/// Serializes `view` as the canonical v2 CSR payload, straight into a
-/// fresh aligned buffer: `node_count u64, edge_count u64`, the
-/// `(n + 1) × u32` offset table zero-padded to an 8-byte boundary, the
-/// `2m` packed adjacency records in [`GraphView`] neighbor order, then
-/// the `m` edge records — all fixed-width little endian. One view, one
-/// byte string.
-fn write_payload<V: GraphView>(view: &V) -> SharedBytes {
-    let (n, m) = (view.node_count(), view.edge_count());
-    let adj_rel = CSR_PAYLOAD_HEADER_LEN + binary::align8(4 * (n + 1));
-    let len = adj_rel + m * (2 * CSR_ADJ_RECORD_LEN + CSR_EDGE_RECORD_LEN);
-    let pad = adj_rel - CSR_PAYLOAD_HEADER_LEN - 4 * (n + 1);
-    SharedBytes::write_aligned(len, |out| {
-        binary::put_u64(out, n as u64);
-        binary::put_u64(out, m as u64);
-        let mut slots = 0u32;
-        binary::put_u32(out, slots);
-        for v in 0..n {
-            view.for_each_neighbor(NodeId::new(v), |_, _, _| slots += 1);
-            binary::put_u32(out, slots);
-        }
-        out.resize(out.len() + pad, 0);
-        for v in 0..n {
-            view.for_each_neighbor(NodeId::new(v), |to, via, w| {
-                binary::put_u32(out, to.raw());
-                binary::put_u32(out, via.raw());
-                binary::put_u64(out, w.get());
-            });
-        }
-        for e in 0..m {
-            let (u, v) = view.edge_endpoints(EdgeId::new(e));
-            binary::put_u32(out, u.raw());
-            binary::put_u32(out, v.raw());
-            binary::put_u64(out, view.edge_weight(EdgeId::new(e)).get());
-        }
-    })
-}
-
 /// A read-only, cache-packed CSR snapshot — the serving layout.
 ///
 /// A `FrozenCsr` is a validated v2 CSR payload (the `SPANNER` section
@@ -582,9 +545,52 @@ impl FrozenCsr {
     /// in increasing edge-id order, or adjacency that disagrees with the
     /// edge list).
     pub fn from_view<V: GraphView>(view: &V) -> Self {
-        let bytes = write_payload(view);
-        let len = bytes.len();
+        let len = FrozenCsr::payload_len(view.node_count(), view.edge_count());
+        let bytes = SharedBytes::write_aligned(len, |out| FrozenCsr::write_payload(view, out));
         FrozenCsr::from_bytes(bytes, 0, len).expect("a GraphView writes a valid CSR payload")
+    }
+
+    /// Byte length of the canonical v2 CSR payload of a view with
+    /// `node_count` nodes and `edge_count` edges.
+    pub fn payload_len(node_count: usize, edge_count: usize) -> usize {
+        CSR_PAYLOAD_HEADER_LEN
+            + binary::align8(4 * (node_count + 1))
+            + edge_count * (2 * CSR_ADJ_RECORD_LEN + CSR_EDGE_RECORD_LEN)
+    }
+
+    /// Appends the canonical v2 CSR payload of `view` to `out`:
+    /// `node_count u64, edge_count u64`, the `(n + 1) × u32` offset
+    /// table zero-padded to an 8-byte boundary, the `2m` packed
+    /// adjacency records in [`GraphView`] neighbor order, then the `m`
+    /// edge records — all fixed-width little endian, exactly
+    /// [`FrozenCsr::payload_len`] bytes. One view, one byte string:
+    /// what [`FrozenCsr::from_view`] serves from, and what a freeze lays
+    /// straight into its artifact's `SPANNER` section.
+    pub fn write_payload<V: GraphView>(view: &V, out: &mut Vec<u8>) {
+        let (n, m) = (view.node_count(), view.edge_count());
+        let pad = binary::align8(4 * (n + 1)) - 4 * (n + 1);
+        binary::put_u64(out, n as u64);
+        binary::put_u64(out, m as u64);
+        let mut slots = 0u32;
+        binary::put_u32(out, slots);
+        for v in 0..n {
+            view.for_each_neighbor(NodeId::new(v), |_, _, _| slots += 1);
+            binary::put_u32(out, slots);
+        }
+        out.resize(out.len() + pad, 0);
+        for v in 0..n {
+            view.for_each_neighbor(NodeId::new(v), |to, via, w| {
+                binary::put_u32(out, to.raw());
+                binary::put_u32(out, via.raw());
+                binary::put_u64(out, w.get());
+            });
+        }
+        for e in 0..m {
+            let (u, v) = view.edge_endpoints(EdgeId::new(e));
+            binary::put_u32(out, u.raw());
+            binary::put_u32(out, v.raw());
+            binary::put_u64(out, view.edge_weight(EdgeId::new(e)).get());
+        }
     }
 
     /// Opens a v2 CSR payload **in place**: validates the section at

@@ -65,7 +65,6 @@
 //! ```
 
 use crate::{FrozenCsr, Graph, GraphError, GraphView, NodeId, Weight};
-use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
@@ -239,7 +238,7 @@ pub fn remediation_for_code(code: &str) -> &'static str {
         "artifact/missing-section" => "rebuild the artifact from a trusted source; a required section is absent",
         "artifact/malformed" => "rebuild the artifact from a trusted source; a field violates the format invariants",
         "artifact/graph-invariant" => "rebuild the artifact from a trusted source; the graph payload violates simple-graph invariants",
-        "artifact/witness-index" => "rebuild or re-migrate the artifact with --shard-witnesses; the witness index disagrees with the witness payload it points into",
+        "artifact/witness-index" => "rebuild the artifact, or re-migrate it from an intact source; the witness index disagrees with the witness payload it points into",
         "artifact/cross-section" => "rebuild the artifact from a trusted source; its sections contradict each other",
         _ => "rebuild the artifact from a trusted source",
     }
@@ -614,81 +613,123 @@ impl ContainerV2 {
     }
 }
 
-/// Builds a v2 container: a fixed header (`magic, version u32, flags
-/// u32, section_count u64`), a 24-byte-per-entry section table, then
-/// the payloads — each starting on an 8-byte boundary with zero padding
-/// between them and none after the last — sealed by a trailing
-/// word-wise FNV-1a-64 checksum ([`fnv1a64_words`]; v1 keeps the
-/// byte-wise [`fnv1a64`]).
+/// Appends one section payload to the container buffer.
+pub type PayloadWriter<'a> = Box<dyn FnOnce(&mut Vec<u8>) + 'a>;
+
+/// One section of a v2 container still to be written: its tag, its
+/// exact payload length, and the writer that appends that payload.
+/// Knowing every length up front is what lets [`write_container_v2`]
+/// lay out the table first and then stream each payload into its final
+/// place, with no intermediate buffer per section.
+pub struct SectionSource<'a> {
+    /// The section's tag.
+    pub tag: u32,
+    /// Exact payload length in bytes.
+    pub len: usize,
+    /// Appends exactly `len` payload bytes.
+    pub write: PayloadWriter<'a>,
+}
+
+impl<'a> SectionSource<'a> {
+    /// A section whose payload already exists as bytes.
+    pub fn bytes(tag: u32, payload: &'a [u8]) -> Self {
+        SectionSource {
+            tag,
+            len: payload.len(),
+            write: Box::new(move |out: &mut Vec<u8>| out.extend_from_slice(payload)),
+        }
+    }
+}
+
+/// Canonical payload offsets of `sections` in a v2 container — the
+/// first right after the table, each next one at the previous end
+/// rounded up to the 8-byte grid — and where the checksum goes.
+fn v2_layout(sections: &[SectionSource<'_>]) -> (Vec<usize>, usize) {
+    let mut cursor = V2_HEADER_LEN + sections.len() * V2_SECTION_ENTRY_LEN;
+    let offsets = sections
+        .iter()
+        .map(|s| {
+            let offset = align8(cursor);
+            cursor = offset + s.len;
+            offset
+        })
+        .collect();
+    (offsets, cursor)
+}
+
+/// Total byte length of the v2 container [`write_container_v2`] writes
+/// for `sections`.
+pub fn container_v2_len(sections: &[SectionSource<'_>]) -> usize {
+    v2_layout(sections).1 + CHECKSUM_LEN
+}
+
+/// Appends a v2 container to `out`: a fixed header (`magic, version
+/// u32, flags u32, section_count u64`), a 24-byte-per-entry section
+/// table, then the payloads in order — each starting on an 8-byte
+/// boundary with zero padding between them and none after the last —
+/// sealed by a trailing word-wise FNV-1a-64 checksum ([`fnv1a64_words`];
+/// v1 keeps the byte-wise [`fnv1a64`]). Exactly
+/// [`container_v2_len`]`(&sections)` bytes. Duplicate tags are not
+/// rejected here (the fuzzer builds hostile replays with this writer);
+/// [`parse_container_v2`] rejects them.
 ///
 /// The layout is canonical: given the same `(tag, payload)` sequence
 /// the writer produces exactly one byte string, and
 /// [`parse_container_v2`] accepts no other encoding of it (padding must
 /// be zero, offsets are forced, trailing bytes are rejected).
-#[derive(Debug)]
-pub struct ContainerWriterV2<'a> {
+///
+/// # Panics
+///
+/// Panics if a section's writer appends anything other than its
+/// declared length (the table already promised it).
+pub fn write_container_v2(
+    out: &mut Vec<u8>,
     magic: [u8; 8],
     version: u32,
     flags: u32,
-    sections: Vec<(u32, Cow<'a, [u8]>)>,
+    sections: Vec<SectionSource<'_>>,
+) {
+    let base = out.len();
+    let (offsets, _) = v2_layout(&sections);
+    out.extend_from_slice(&magic);
+    put_u32(out, version);
+    put_u32(out, flags);
+    put_u64(out, sections.len() as u64);
+    for (s, offset) in sections.iter().zip(&offsets) {
+        put_u32(out, s.tag);
+        put_u32(out, 0); // reserved
+        put_u64(out, *offset as u64);
+        put_u64(out, s.len as u64);
+    }
+    for (s, offset) in sections.into_iter().zip(offsets) {
+        out.resize(base + offset, 0);
+        (s.write)(out);
+        assert_eq!(
+            out.len() - base,
+            offset + s.len,
+            "section {} wrote the wrong length",
+            s.tag
+        );
+    }
+    let checksum = fnv1a64_words(&out[base..]);
+    put_u64(out, checksum);
 }
 
-impl<'a> ContainerWriterV2<'a> {
-    /// Starts a v2 container with the given magic, version, and header
-    /// flags.
-    pub fn new(magic: [u8; 8], version: u32, flags: u32) -> Self {
-        ContainerWriterV2 {
-            magic,
-            version,
-            flags,
-            sections: Vec::new(),
-        }
-    }
-
-    /// Appends one section in file order, owned or borrowed (a borrowed
-    /// payload is copied once, straight into the finished container).
-    /// Duplicate tags are not rejected here (the fuzzer uses this writer
-    /// to build hostile replays); [`parse_container_v2`] rejects them.
-    pub fn section(&mut self, tag: u32, payload: impl Into<Cow<'a, [u8]>>) -> &mut Self {
-        self.sections.push((tag, payload.into()));
-        self
-    }
-
-    /// Seals the container: lays out the table and padded payloads,
-    /// computes the checksum, and returns the bytes.
-    pub fn finish(self) -> Vec<u8> {
-        let table_len = self.sections.len() * V2_SECTION_ENTRY_LEN;
-        let mut offsets = Vec::with_capacity(self.sections.len());
-        let mut cursor = V2_HEADER_LEN + table_len;
-        for (i, (_, payload)) in self.sections.iter().enumerate() {
-            offsets.push(cursor);
-            cursor += payload.len();
-            if i + 1 < self.sections.len() {
-                cursor = align8(cursor);
-            }
-        }
-        let mut buf = Vec::with_capacity(cursor + CHECKSUM_LEN);
-        buf.extend_from_slice(&self.magic);
-        put_u32(&mut buf, self.version);
-        put_u32(&mut buf, self.flags);
-        put_u64(&mut buf, self.sections.len() as u64);
-        for ((tag, payload), offset) in self.sections.iter().zip(&offsets) {
-            put_u32(&mut buf, *tag);
-            put_u32(&mut buf, 0); // reserved
-            put_u64(&mut buf, *offset as u64);
-            put_u64(&mut buf, payload.len() as u64);
-        }
-        for (i, (_, payload)) in self.sections.iter().enumerate() {
-            debug_assert_eq!(buf.len(), offsets[i]);
-            buf.extend_from_slice(payload);
-            if i + 1 < self.sections.len() {
-                buf.resize(align8(buf.len()), 0);
-            }
-        }
-        let checksum = fnv1a64_words(&buf);
-        put_u64(&mut buf, checksum);
-        buf
-    }
+/// A v2 container of byte payloads, `(tag, payload)` in file order —
+/// [`write_container_v2`] into a fresh `Vec`.
+pub fn encode_container_v2(
+    magic: [u8; 8],
+    version: u32,
+    flags: u32,
+    sections: &[(u32, &[u8])],
+) -> Vec<u8> {
+    let sections: Vec<SectionSource<'_>> = sections
+        .iter()
+        .map(|&(tag, payload)| SectionSource::bytes(tag, payload))
+        .collect();
+    let mut out = Vec::with_capacity(container_v2_len(&sections));
+    write_container_v2(&mut out, magic, version, flags, sections);
+    out
 }
 
 /// Parses and verifies a v2 container envelope.
@@ -825,21 +866,6 @@ pub fn parse_container_v2(
     })
 }
 
-/// Serializes a per-record offset index: `count u64`, then the
-/// `count + 1` record-boundary offsets (`offsets[i]` is where record `i`
-/// starts inside the indexed payload; the final entry is the payload
-/// length). This is the sharded witness map's `WITNESS_INDEX` section
-/// payload; the layout is canonical by construction.
-pub fn write_offset_index(offsets: &[u64]) -> Vec<u8> {
-    debug_assert!(!offsets.is_empty(), "an index carries count + 1 offsets");
-    let mut out = Vec::with_capacity(8 * (offsets.len() + 1));
-    put_u64(&mut out, (offsets.len() - 1) as u64);
-    for &o in offsets {
-        put_u64(&mut out, o);
-    }
-    out
-}
-
 /// Parses and validates a per-record offset index against the payload it
 /// points into, returning the record count. Every gate fails closed with
 /// a typed [`BinaryError::WitnessIndex`]:
@@ -938,6 +964,12 @@ pub fn write_view_payload<V: GraphView>(view: &V, out: &mut Vec<u8>) {
 
 /// Byte width of one `(u, v, w)` edge record in a graph payload.
 const EDGE_RECORD_LEN: usize = 4 + 4 + 8;
+
+/// Byte length of the [`write_view_payload`] payload of a view with
+/// `edge_count` edges.
+pub const fn view_payload_len(edge_count: usize) -> usize {
+    16 + EDGE_RECORD_LEN * edge_count
+}
 
 /// Node counts a decoder accepts unconditionally, regardless of payload
 /// size (the allocation guard in the graph-payload header read). Public
@@ -1082,6 +1114,21 @@ pub fn decode_frozen_csr(bytes: &[u8]) -> Result<FrozenCsr, BinaryError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Serializes a per-record offset index: `count u64`, then the
+    /// `count + 1` record-boundary offsets (`offsets[i]` is where record `i`
+    /// starts inside the indexed payload; the final entry is the payload
+    /// length). This is the sharded witness map's `WITNESS_INDEX` section
+    /// payload; the layout is canonical by construction.
+    fn write_offset_index(offsets: &[u64]) -> Vec<u8> {
+        debug_assert!(!offsets.is_empty(), "an index carries count + 1 offsets");
+        let mut out = Vec::with_capacity(8 * (offsets.len() + 1));
+        put_u64(&mut out, (offsets.len() - 1) as u64);
+        for &o in offsets {
+            put_u64(&mut out, o);
+        }
+        out
+    }
     use crate::bytes::read_u64_at;
     use crate::{generators, EdgeId};
     use rand::rngs::StdRng;
@@ -1266,10 +1313,8 @@ mod tests {
     const TEST_MAGIC: [u8; 8] = *b"VFTTESTC";
 
     fn v2_two_sections() -> Vec<u8> {
-        let mut w = ContainerWriterV2::new(TEST_MAGIC, 2, 0);
-        w.section(1, vec![0xAA; 5]); // 5 bytes: forces 3 pad bytes
-        w.section(2, vec![0xBB; 8]);
-        w.finish()
+        // 5 bytes in section 1 force 3 pad bytes.
+        encode_container_v2(TEST_MAGIC, 2, 0, &[(1, &[0xAA; 5]), (2, &[0xBB; 8])])
     }
 
     fn reseal(bytes: &mut [u8]) {
@@ -1291,10 +1336,8 @@ mod tests {
         assert_eq!(s2.offset % V2_SECTION_ALIGN, 0);
         assert_eq!(&bytes[s2.offset..s2.offset + s2.len], &[0xBB; 8]);
         // Re-emitting the same sections reproduces the bytes exactly.
-        let mut again = ContainerWriterV2::new(TEST_MAGIC, 2, 0);
-        again.section(1, vec![0xAA; 5]);
-        again.section(2, vec![0xBB; 8]);
-        assert_eq!(again.finish(), bytes);
+        let again = encode_container_v2(TEST_MAGIC, 2, 0, &[(1, &[0xAA; 5]), (2, &[0xBB; 8])]);
+        assert_eq!(again, bytes);
     }
 
     #[test]
@@ -1357,9 +1400,7 @@ mod tests {
             })
         ));
         // A non-canonical (over-padded) section offset.
-        let mut w = ContainerWriterV2::new(TEST_MAGIC, 2, 0);
-        w.section(1, vec![0xAA; 5]);
-        let mut bytes = w.finish();
+        let mut bytes = encode_container_v2(TEST_MAGIC, 2, 0, &[(1, &[0xAA; 5])]);
         // Grow the file by 8 zero bytes before the checksum and shift the
         // (single) section 8 bytes right: still aligned, still zero
         // padding, but not the canonical position.
@@ -1394,9 +1435,7 @@ mod tests {
 
     #[test]
     fn v2_rejects_unknown_flags_version_and_oversized_count() {
-        let mut w = ContainerWriterV2::new(TEST_MAGIC, 2, 0b10);
-        w.section(1, vec![1, 2, 3]);
-        let bytes = w.finish();
+        let bytes = encode_container_v2(TEST_MAGIC, 2, 0b10, &[(1, &[1, 2, 3])]);
         // Flag bit 1 is unknown to a decoder that only knows bit 0.
         assert!(matches!(
             parse_container_v2(&bytes, TEST_MAGIC, 2, 0b1),
@@ -1428,11 +1467,9 @@ mod tests {
             })
         ));
         // Duplicate tags are replay, like v1.
-        let mut w = ContainerWriterV2::new(TEST_MAGIC, 2, 0);
-        w.section(1, vec![1]);
-        w.section(1, vec![2]);
+        let bytes = encode_container_v2(TEST_MAGIC, 2, 0, &[(1, &[1]), (1, &[2])]);
         assert!(matches!(
-            parse_container_v2(&w.finish(), TEST_MAGIC, 2, 0),
+            parse_container_v2(&bytes, TEST_MAGIC, 2, 0),
             Err(BinaryError::DuplicateSection { tag: 1 })
         ));
     }

@@ -7,10 +7,9 @@
 //! spanner-artifact build [--family geometric|complete|grid|erdos-renyi]
 //!                        [--n N] [--radius R] [--p P] [--rows R --cols C]
 //!                        [--edges PATH] [--seed S] [--stretch K] [--f F]
-//!                        [--model vertex|edge] [--v2] [--detach-witnesses]
-//!                        [--shard-witnesses] [--out PATH]
+//!                        [--model vertex|edge] [--detach-witnesses] [--out PATH]
 //! spanner-artifact inspect PATH
-//! spanner-artifact migrate PATH [--out PATH] [--shard|--unshard]
+//! spanner-artifact migrate PATH [--out PATH]
 //! spanner-artifact serve PATH [--in-place] [--epochs N] [--batch B]
 //!                        [--threads T] [--seed S]
 //! ```
@@ -19,35 +18,30 @@
 //!
 //! * `build` constructs an FT spanner (FT-greedy over the chosen graph
 //!   family or a text edge-list file), freezes it with full metadata
-//!   (parent graph, budget, model, witnesses), and writes the versioned
-//!   `VFTSPANR` binary artifact (`docs/ARTIFACT_FORMAT.md`). `--v2`
-//!   emits the alignment-padded in-place layout; `--detach-witnesses`
-//!   (implies `--v2`) drops the witness section for a routing-only
-//!   replica artifact; `--shard-witnesses` (implies `--v2`, excludes
-//!   `--detach-witnesses`) adds the per-edge witness offset index so
-//!   zero-copy consumers resolve one edge's fault sets in O(|F_e|).
+//!   (parent graph, budget, model, witnesses), and writes the canonical
+//!   `VFTSPANR` v2 artifact (`docs/ARTIFACT_FORMAT.md`): the
+//!   alignment-padded in-place layout with the per-edge witness offset
+//!   index, so zero-copy consumers resolve one edge's fault sets in
+//!   O(|F_e|). `--detach-witnesses` drops the witness sections for a
+//!   routing-only replica artifact.
 //! * `inspect` dumps the container header — version, flags, checksum,
-//!   section table (including witness-index stats for sharded
-//!   artifacts) — and the decoded artifact's stats, without serving
-//!   anything.
-//! * `migrate` re-lays a v1 artifact out as v2, byte-canonically: the
-//!   output is exactly what `build --v2` of the same construction would
-//!   have written, and migrating an already-v2 artifact is a verified
-//!   no-op (idempotent, byte for byte). `--shard` / `--unshard` convert
-//!   between the monolithic and sharded witness layouts, both
-//!   byte-canonical; the round trip `--unshard` ∘ `--shard` is the
-//!   identity. Without either flag the witness layout is preserved.
+//!   section table (including witness-index stats) — and the decoded
+//!   artifact's stats, without serving anything.
+//! * `migrate` imports an artifact in any supported layout (v1, or v2
+//!   with the older monolithic witness map) and writes it back in the
+//!   canonical layout: exactly what `build` of the same construction
+//!   writes. On canonical input it is the byte identity.
 //! * `serve` is the roundtrip proof: it decodes the artifact in *this*
 //!   process (built, typically, by another), re-runs the construction
 //!   from the embedded parent graph, and drives an E15-style epoch/batch
 //!   query workload through both artifacts — sequential and pooled —
-//!   failing unless every answer is bit-identical and the rebuilt
-//!   artifact re-encodes to the exact bytes on disk. `--in-place` (v2
-//!   artifacts only) opens the file zero-copy — `mmap(2)` where the
-//!   platform has it, an aligned heap copy otherwise — and serves
-//!   straight out of the buffer through the same gates. CI runs
-//!   build → inspect → migrate → serve as separate processes on every
-//!   push.
+//!   failing unless every answer is bit-identical and the rebuild
+//!   re-encodes to the exact bytes loaded (the v1 encoding for a v1
+//!   file, the canonical import otherwise). `--in-place` (v2 artifacts
+//!   only) opens the file zero-copy — `mmap(2)` where the platform has
+//!   it, an aligned heap copy otherwise — and serves straight out of the
+//!   buffer through the same gates. CI runs build → inspect → migrate →
+//!   serve as separate processes on every push.
 //! * `replay` re-decodes every entry of one or more fuzz-corpus
 //!   directories (`fuzz/corpus/`, `fuzz/crashes/`) under the decode
 //!   contract — fail-closed, deterministic, canonical — and verifies
@@ -82,10 +76,9 @@ use std::sync::Arc;
 const USAGE: &str = "usage: spanner-artifact build [--family geometric|complete|grid|erdos-renyi]
                               [--n N] [--radius R] [--p P] [--rows R --cols C]
                               [--edges PATH] [--seed S] [--stretch K] [--f F]
-                              [--model vertex|edge] [--v2] [--detach-witnesses]
-                              [--shard-witnesses] [--out PATH]
+                              [--model vertex|edge] [--detach-witnesses] [--out PATH]
        spanner-artifact inspect PATH
-       spanner-artifact migrate PATH [--out PATH] [--shard|--unshard]
+       spanner-artifact migrate PATH [--out PATH]
        spanner-artifact serve PATH [--in-place] [--epochs N] [--batch B] [--threads T] [--seed S]
        spanner-artifact replay DIR...";
 
@@ -103,9 +96,7 @@ struct BuildArgs {
     stretch: u64,
     faults: usize,
     model: FaultModel,
-    v2: bool,
     detach: bool,
-    shard: bool,
     out: PathBuf,
 }
 
@@ -121,8 +112,6 @@ struct ServeArgs {
 struct MigrateArgs {
     path: PathBuf,
     out: Option<PathBuf>,
-    shard: bool,
-    unshard: bool,
 }
 
 enum Command {
@@ -205,15 +194,11 @@ fn parse_build(it: &mut impl Iterator<Item = String>) -> Result<Parsed<Command>,
     let mut stretch = 3u64;
     let mut faults = 1usize;
     let mut model = FaultModel::Vertex;
-    let mut v2 = false;
     let mut detach = false;
-    let mut shard = false;
     let mut out = PathBuf::from("spanner.vfts");
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--v2" => v2 = true,
             "--detach-witnesses" => detach = true,
-            "--shard-witnesses" => shard = true,
             "--family" => family = cli::value_for(it, "--family")?,
             "--n" => n = cli::parsed_value(it, "--n")?,
             "--radius" => radius = cli::parsed_value(it, "--radius")?,
@@ -232,13 +217,6 @@ fn parse_build(it: &mut impl Iterator<Item = String>) -> Result<Parsed<Command>,
     }
     if stretch == 0 {
         return Err("--stretch must be positive".into());
-    }
-    if detach && shard {
-        return Err(
-            "--detach-witnesses and --shard-witnesses are mutually exclusive \
-             (there is no witness map left to index)"
-                .into(),
-        );
     }
     let spec = match edges {
         Some(path) => GraphSpec::EdgeList { path },
@@ -259,9 +237,7 @@ fn parse_build(it: &mut impl Iterator<Item = String>) -> Result<Parsed<Command>,
         stretch,
         faults,
         model,
-        v2: v2 || detach || shard, // both are v2-only layout features
         detach,
-        shard,
         out,
     })))
 }
@@ -269,26 +245,14 @@ fn parse_build(it: &mut impl Iterator<Item = String>) -> Result<Parsed<Command>,
 fn parse_migrate(it: &mut impl Iterator<Item = String>) -> Result<Parsed<Command>, String> {
     let path = positional_path(it, "migrate")?;
     let mut out = None;
-    let mut shard = false;
-    let mut unshard = false;
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--out" => out = Some(PathBuf::from(cli::value_for(it, "--out")?)),
-            "--shard" => shard = true,
-            "--unshard" => unshard = true,
             "--help" | "-h" => return Ok(Parsed::Help),
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    if shard && unshard {
-        return Err("--shard and --unshard are mutually exclusive".into());
-    }
-    Ok(Parsed::Run(Command::Migrate(MigrateArgs {
-        path,
-        out,
-        shard,
-        unshard,
-    })))
+    Ok(Parsed::Run(Command::Migrate(MigrateArgs { path, out })))
 }
 
 fn parse_serve(it: &mut impl Iterator<Item = String>) -> Result<Parsed<Command>, String> {
@@ -366,10 +330,6 @@ fn run_build(args: BuildArgs) -> Result<(), String> {
     let mut frozen = ft.freeze(&g);
     if args.detach {
         frozen = frozen.detach_witnesses();
-    } else if args.shard {
-        frozen = frozen.to_v2_sharded();
-    } else if args.v2 {
-        frozen = frozen.to_v2();
     }
     let bytes = frozen.encode();
     // Sanity: our own encoding must decode before it ships.
@@ -378,10 +338,7 @@ fn run_build(args: BuildArgs) -> Result<(), String> {
     std::fs::write(&args.out, &bytes)
         .map_err(|e| format!("cannot write {}: {e}", args.out.display()))?;
     let witness_note = match frozen.witnesses() {
-        Ok(w) if frozen.witnesses_sharded() => {
-            format!("{} witness sets (sharded per-edge index)", w.len())
-        }
-        Ok(w) => format!("{} witness sets", w.len()),
+        Ok(w) => format!("{} witness sets (sharded per-edge index)", w.len()),
         Err(_) => "witnesses detached (routing-only)".to_string(),
     };
     println!(
@@ -390,13 +347,30 @@ fn run_build(args: BuildArgs) -> Result<(), String> {
         g.edge_count(),
         100.0 * frozen.edge_count() as f64 / g.edge_count().max(1) as f64,
     );
-    println!(
-        "wrote {} (v{}, {} bytes)",
-        args.out.display(),
-        frozen.version(),
-        bytes.len()
-    );
+    println!("wrote {} (v2, {} bytes)", args.out.display(), bytes.len());
     Ok(())
+}
+
+/// Whether `bytes` declare the v2 container — the dispatch
+/// `FrozenSpanner::decode` makes; a lying version field fails closed
+/// inside the matching parser.
+fn declares_v2(bytes: &[u8]) -> bool {
+    bytes.len() >= 12 && bytes[8..12] == ARTIFACT_VERSION_V2.to_le_bytes()
+}
+
+/// Human name of the layout a decodable artifact file is in.
+fn layout_name(bytes: &[u8]) -> &'static str {
+    if !declares_v2(bytes) {
+        return "v1";
+    }
+    let flags = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes"));
+    if flags & FLAG_WITNESSES_SHARDED != 0 {
+        "v2"
+    } else if flags & FLAG_WITNESSES_DETACHED != 0 {
+        "v2, witnesses detached"
+    } else {
+        "v2, monolithic witness map"
+    }
 }
 
 /// Human name of an artifact section tag (tags owned by
@@ -416,11 +390,8 @@ fn section_name(tag: u32) -> &'static str {
 
 fn run_inspect(path: PathBuf) -> Result<(), String> {
     let bytes = std::fs::read(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    // Dispatch on the declared version, exactly like `FrozenSpanner::decode`;
-    // a lying version field fails closed inside the matching parser.
-    let is_v2 = bytes.len() >= 12 && bytes[8..12] == ARTIFACT_VERSION_V2.to_le_bytes();
     println!("{}: {} bytes", path.display(), bytes.len());
-    if is_v2 {
+    if declares_v2(&bytes) {
         let container = parse_container_v2(
             &bytes,
             ARTIFACT_MAGIC,
@@ -524,17 +495,19 @@ fn run_inspect(path: PathBuf) -> Result<(), String> {
         Ok(w) => {
             let nonempty = w.iter().filter(|s| !s.is_empty()).count();
             println!(
-                "    witnesses  {} sets ({} nonempty{})",
+                "    witnesses  {} sets ({} nonempty, sharded per-edge index)",
                 w.len(),
                 nonempty,
-                if frozen.witnesses_sharded() {
-                    ", sharded per-edge index"
-                } else {
-                    ""
-                }
             );
         }
         Err(_) => println!("    witnesses  detached (routing-only artifact)"),
+    }
+    if frozen.encode() != bytes {
+        println!(
+            "    layout     {}: imported into the canonical layout on load \
+             (`spanner-artifact migrate` rewrites the file)",
+            layout_name(&bytes)
+        );
     }
     Ok(())
 }
@@ -543,58 +516,20 @@ fn run_migrate(args: MigrateArgs) -> Result<(), String> {
     let bytes = std::fs::read(&args.path)
         .map_err(|e| format!("cannot read {}: {e}", args.path.display()))?;
     let decoded = FrozenSpanner::decode(&bytes).map_err(|e| hostile(&args.path, e.code(), &e))?;
-    let from_version = decoded.version();
-    let was_sharded = decoded.witnesses_sharded();
-    if args.shard && decoded.witnesses_detached() {
-        return Err(
-            "cannot --shard a witnesses-detached (routing-only) artifact: \
-             there is no witness map to index"
-                .into(),
-        );
-    }
-    // Without an explicit --shard/--unshard the witness layout is
-    // preserved, so plain `migrate` of any v2 artifact stays a no-op.
-    let to_sharded = if args.shard {
-        true
-    } else if args.unshard {
-        false
-    } else {
-        was_sharded
-    };
-    let migrated = if to_sharded {
-        decoded.to_v2_sharded().encode()
-    } else {
-        decoded.to_v2().encode()
-    };
-    if from_version == ARTIFACT_VERSION_V2 && to_sharded == was_sharded && migrated != bytes {
-        return Err(
-            "internal error: migrating a v2 artifact without a layout change \
-             altered its bytes — migration must be idempotent"
-                .into(),
-        );
-    }
-    // The migrated artifact must be canonical: decode and re-encode to
-    // the exact same bytes (the same gate `serve` applies to rebuilds).
-    let back = FrozenSpanner::decode(&migrated)
-        .map_err(|e| format!("internal error: migrated artifact does not decode: {e}"))?;
-    if back.encode() != migrated {
-        return Err("internal error: migrated artifact is not byte-canonical".into());
-    }
+    // Every load lands in the canonical layout, so its bytes are the
+    // migration — and on canonical input they are the input itself.
+    let migrated = decoded.encode();
     let out = args.out.unwrap_or_else(|| args.path.clone());
     std::fs::write(&out, &migrated).map_err(|e| format!("cannot write {}: {e}", out.display()))?;
     println!(
-        "migrated {} (v{from_version}, {} bytes) -> {} (v2{}, {} bytes){}",
+        "migrated {} ({}, {} bytes) -> {} (canonical v2, {} bytes){}",
         args.path.display(),
+        layout_name(&bytes),
         bytes.len(),
         out.display(),
-        if to_sharded {
-            ", sharded witnesses"
-        } else {
-            ""
-        },
         migrated.len(),
-        if from_version == ARTIFACT_VERSION_V2 && to_sharded == was_sharded {
-            " — already v2, byte-identical"
+        if migrated == bytes {
+            " — already canonical, byte-identical"
         } else {
             ""
         }
@@ -657,11 +592,12 @@ fn plan_epochs(frozen: &FrozenSpanner, args: &ServeArgs) -> Vec<(FaultSet, Vec<(
 fn run_serve(args: ServeArgs) -> Result<(), String> {
     let bytes = std::fs::read(&args.path)
         .map_err(|e| format!("cannot read {}: {e}", args.path.display()))?;
-    let loaded = if args.in_place {
+    let (loaded, load_label) = if args.in_place {
         // Zero-copy open: the serving tables stay in the file buffer —
         // mmap(2) where the platform has it, an aligned heap copy
         // otherwise (same bytes, same validation, same answers).
-        let shared = if mmapio::Mmap::supported() {
+        let mapped = mmapio::Mmap::supported();
+        let shared = if mapped {
             let file = std::fs::File::open(&args.path)
                 .map_err(|e| format!("cannot open {}: {e}", args.path.display()))?;
             let map = mmapio::Mmap::map_file(&file)
@@ -670,10 +606,24 @@ fn run_serve(args: ServeArgs) -> Result<(), String> {
         } else {
             SharedBytes::copy_aligned(&bytes)
         };
-        let mapped = FrozenSpanner::open(shared).map_err(|e| hostile(&args.path, e.code(), &e))?;
-        Arc::new(mapped.into_inner())
+        let opened =
+            FrozenSpanner::open(shared.clone()).map_err(|e| hostile(&args.path, e.code(), &e))?;
+        // A monolithic-witness file is imported into a fresh canonical
+        // buffer: label the load by where the tables really live.
+        let buf = shared.as_slice().as_ptr_range();
+        let csr = opened.csr().payload().as_ptr_range();
+        let label = if !(buf.start <= csr.start && csr.end <= buf.end) {
+            "imported into a canonical copy"
+        } else if mapped {
+            "in place, zero-copy"
+        } else {
+            "in place, aligned copy"
+        };
+        (Arc::new(opened.into_inner()), label)
     } else {
-        Arc::new(FrozenSpanner::decode(&bytes).map_err(|e| hostile(&args.path, e.code(), &e))?)
+        let decoded =
+            FrozenSpanner::decode(&bytes).map_err(|e| hostile(&args.path, e.code(), &e))?;
+        (Arc::new(decoded), "eager decode")
     };
     let parent = loaded
         .parent()
@@ -689,15 +639,7 @@ fn run_serve(args: ServeArgs) -> Result<(), String> {
     println!(
         "loaded {} ({}): {} nodes, {} edges, stretch {}, f = {}, {} model",
         args.path.display(),
-        if args.in_place {
-            if mmapio::Mmap::supported() {
-                "in place, zero-copy"
-            } else {
-                "in place, aligned copy"
-            }
-        } else {
-            "eager decode"
-        },
+        load_label,
         loaded.node_count(),
         loaded.edge_count(),
         loaded.stretch(),
@@ -706,9 +648,8 @@ fn run_serve(args: ServeArgs) -> Result<(), String> {
     );
 
     // In-memory rebuild from the embedded parent: same construction, so
-    // the artifact on disk must be its canonical encoding, byte for
-    // byte — after re-laying the rebuild out in the on-disk artifact's
-    // own version/witness layout.
+    // it must encode to exactly the bytes loaded — the v1 encoding for a
+    // v1 file, the canonical import of anything else.
     let fresh = FtGreedy::new(parent.as_ref(), loaded.stretch())
         .faults(budget)
         .model(loaded.model())
@@ -716,14 +657,18 @@ fn run_serve(args: ServeArgs) -> Result<(), String> {
         .freeze(parent.as_ref());
     let rebuilt = Arc::new(if loaded.witnesses_detached() {
         fresh.detach_witnesses()
-    } else if loaded.witnesses_sharded() {
-        fresh.to_v2_sharded()
-    } else if loaded.version() == ARTIFACT_VERSION_V2 {
-        fresh.to_v2()
     } else {
         fresh
     });
-    if rebuilt.encode() != bytes {
+    let matches = if declares_v2(&bytes) {
+        rebuilt.encode() == loaded.encode()
+    } else {
+        rebuilt
+            .encode_v1()
+            .map_err(|e| format!("internal error: rebuild has no v1 encoding: {e}"))?
+            == bytes
+    };
+    if !matches {
         return Err(
             "rebuilt construction does not re-encode to the artifact's bytes — \
              the file does not describe this parent/stretch/budget construction"

@@ -9,20 +9,20 @@
 //! ```
 //!
 //! Measures open-to-k-lookups over zero-copy opens of deterministically
-//! rebuilt artifacts, through both witness layouts: the monolithic map
-//! (the first `witnesses_for` decodes the whole section) and the
-//! sharded offset index (two index words plus one record per lookup —
-//! O(|F_e|) bytes). Bytes touched come from the spanner's own
-//! instrumented counter, not wall-clock inference. Writes one JSON
-//! document (`BENCH_10.json` by default, schema `witnessbench-1`)
-//! **after** asserting every probed fault set was bit-identical across
-//! both layouts and the eager decode.
+//! rebuilt artifacts, through both witness access paths: forcing the
+//! full map (`witnesses`, which decodes the whole section) and the
+//! per-edge offset index (`witnesses_for`: two index words plus one
+//! record per lookup — O(|F_e|) bytes). Bytes touched come from the
+//! spanner's own instrumented counter, not wall-clock inference. Writes
+//! one JSON document (`BENCH_10.json` by default, schema
+//! `witnessbench-2`) **after** asserting every probed fault set was
+//! bit-identical across both paths and the construction's witness sets.
 //!
 //! `--check` re-reads any such artifact with the strict parser in
 //! [`spanner_harness::json`] and validates the schema, including — for
 //! full-scale documents, i.e. the committed `BENCH_10.json` — the
-//! committed gate: on the largest artifact the monolithic path must
-//! touch at least 5x more witness bytes than the sharded path. CI's
+//! committed gate: on the largest artifact forcing the full map must
+//! touch at least 5x more witness bytes than the per-edge path. CI's
 //! bench-smoke job runs a smoke emission plus that check so the
 //! sharded index cannot silently rot.
 
@@ -97,14 +97,14 @@ fn run_bench(args: &Args) -> Result<(), String> {
             mismatches += 1;
         }
         println!(
-            "  n={:<4} edges={:<5} probes={:<2} mono touched {:>8} B | sharded {:>6} B  ({:>7.2}x)  mono {:>8.1} us | sharded {:>8.1} us  identical={}",
+            "  n={:<4} edges={:<5} probes={:<2} full map touched {:>8} B | per edge {:>6} B  ({:>7.2}x)  full {:>8.1} us | per edge {:>8.1} us  identical={}",
             cell.n,
             cell.edges,
             cell.probes,
-            cell.mono_touched,
+            cell.full_touched,
             cell.sharded_touched,
             cell.bytes_ratio(),
-            cell.mono_secs * 1e6,
+            cell.full_secs * 1e6,
             cell.sharded_secs * 1e6,
             cell.identical,
         );
@@ -125,7 +125,7 @@ fn run_bench(args: &Args) -> Result<(), String> {
     println!("wrote {}", args.out.display());
     if mismatches > 0 {
         return Err(format!(
-            "{mismatches} cell(s) returned different fault sets across witness layouts — serving must be bit-identical"
+            "{mismatches} cell(s) returned different fault sets across witness access paths — serving must be bit-identical"
         ));
     }
     Ok(())

@@ -4,9 +4,11 @@
 //! is replica spin-up: how long from "artifact bytes in hand" to "first
 //! query answered"? The v1 path must materialize every section — the
 //! adjacency, the parent-edge tables, the embedded parent graph, the
-//! witness map — before the first route. The v2 in-place path validates
-//! the envelope, points the serving tables at the buffer, and defers
-//! the parent and witnesses until (unless) something asks for them.
+//! witness map — and re-lay them as the canonical v2 container before
+//! the first route. The v2 in-place path validates the envelope and the
+//! witness index, points the serving tables at the buffer, and defers
+//! the parent and witness records until (unless) something asks for
+//! them.
 //!
 //! This module measures both, open-to-first-route, on deterministically
 //! rebuilt artifacts of increasing size, and emits the committed
@@ -111,8 +113,10 @@ pub fn sweep(ctx: &ExperimentContext, repeats: usize) -> Vec<ColdCell> {
             let mut rng = StdRng::seed_from_u64(cell_seed(17, cell as u64, 0));
             let g = random_geometric(n, radius, &mut rng);
             let frozen = FtGreedy::new(&g, STRETCH).faults(f).run().freeze(&g);
-            let v1 = frozen.encode();
-            let v2 = frozen.to_v2().encode();
+            let v1 = frozen
+                .encode_v1()
+                .expect("own artifact carries its witnesses");
+            let v2 = frozen.encode();
             // The first-route probe: one live pair, no failures — the
             // minimal "replica is up" signal.
             let clear = FaultSet::vertices([]);

@@ -19,7 +19,8 @@
 //!   in-process decodes; `crates/harness/tests/artifact_cli.rs` adds
 //!   the cross-process leg through the `spanner-artifact` binary).
 //! * **Canonical acceptance** — bytes that decode must re-encode to
-//!   themselves; an accepted-but-different artifact is a finding.
+//!   themselves in the layout they arrived in (`canonical_acceptance`);
+//!   an accepted-but-different artifact is a finding.
 //!
 //! Corpus file names carry their expected outcome:
 //! `<class>__<code-slug>__<fnv64-hex>.bin`, where `<class>` is the
@@ -29,6 +30,10 @@
 //! verifies the detected outcome against the name, which is what turns
 //! the corpus into a regression gate on the error taxonomy itself.
 
+use spanner_core::frozen::{
+    ARTIFACT_MAGIC, ARTIFACT_VERSION, ARTIFACT_VERSION_V2, FLAG_WITNESSES_SHARDED,
+    SECTION_WITNESSES, SECTION_WITNESS_INDEX,
+};
 use spanner_core::FrozenSpanner;
 use spanner_graph::io::binary::{self, fnv1a64};
 use std::collections::BTreeMap;
@@ -102,12 +107,76 @@ impl DecodeOutcome {
     }
 }
 
+/// Checks that `frozen`, decoded from `bytes`, is exactly what those
+/// bytes say, in the layout they arrived in: canonical v2 (sharded or
+/// witnesses-detached) re-encodes through `encode`, v1 through
+/// `encode_v1`, and the monolithic-witness v2 layout — which decode
+/// imports — re-lays as that layout byte for byte (`monolithic_v2`).
+/// For the two imported layouts the canonical bytes must also be a
+/// fixed point of decode → encode.
+///
+/// # Errors
+///
+/// A description of the disagreement.
+fn canonical_acceptance(bytes: &[u8], frozen: &FrozenSpanner) -> Result<(), String> {
+    let canonical = frozen.encode();
+    if canonical == bytes {
+        return Ok(());
+    }
+    let relaid = if bytes[8..12] == ARTIFACT_VERSION_V2.to_le_bytes() {
+        monolithic_v2(&canonical, frozen)
+    } else {
+        frozen.encode_v1().ok()
+    };
+    if relaid.as_deref() != Some(bytes) {
+        return Err("accepted input does not re-encode to itself in its own layout".into());
+    }
+    match FrozenSpanner::decode(&canonical) {
+        Ok(again) if again.encode() == canonical => Ok(()),
+        _ => Err("the canonical import is not a fixed point of decode and encode".into()),
+    }
+}
+
+/// `frozen`'s `canonical` bytes in the monolithic-witness v2 layout:
+/// every section but the witness index as it is, the witness map as its
+/// unpadded v1 payload, header flags 0. `None` for a routing-only
+/// artifact.
+fn monolithic_v2(canonical: &[u8], frozen: &FrozenSpanner) -> Option<Vec<u8>> {
+    let v1 = frozen.encode_v1().ok()?;
+    let witnesses = binary::parse_container(&v1, ARTIFACT_MAGIC, ARTIFACT_VERSION)
+        .ok()?
+        .section(SECTION_WITNESSES)?;
+    let container = binary::parse_container_v2(
+        canonical,
+        ARTIFACT_MAGIC,
+        ARTIFACT_VERSION_V2,
+        FLAG_WITNESSES_SHARDED,
+    )
+    .ok()?;
+    let parts: Vec<(u32, &[u8])> = container
+        .sections
+        .iter()
+        .filter(|s| s.tag != SECTION_WITNESS_INDEX)
+        .map(|s| match s.tag {
+            SECTION_WITNESSES => (s.tag, witnesses),
+            tag => (tag, &canonical[s.offset..s.offset + s.len]),
+        })
+        .collect();
+    Some(binary::encode_container_v2(
+        ARTIFACT_MAGIC,
+        ARTIFACT_VERSION_V2,
+        0,
+        &parts,
+    ))
+}
+
 /// One decode through the codec the magic selects: `VFTGRAPH` files go
 /// through [`binary::decode_frozen_csr`], everything else (including
 /// garbage too short to carry a magic) through [`FrozenSpanner::decode`].
 /// Returns the outcome plus the error's display string (the
 /// "signature" the determinism contract compares), and re-encodes
-/// accepted inputs to prove canonical acceptance. Accepted spanner
+/// accepted inputs to prove canonical acceptance
+/// (`canonical_acceptance` for spanner artifacts). Accepted spanner
 /// artifacts additionally have their witness accessor probed, so a
 /// routing-only artifact is tallied under
 /// `artifact/witnesses-detached` — the typed refusal witness queries
@@ -129,9 +198,7 @@ fn decode_once(bytes: &[u8]) -> Result<(DecodeOutcome, String), String> {
         } else {
             match FrozenSpanner::decode(bytes) {
                 Ok(frozen) => {
-                    if frozen.encode() != bytes {
-                        return Err("accepted input does not re-encode canonically".into());
-                    }
+                    canonical_acceptance(bytes, &frozen)?;
                     // Witness availability is part of the replayed
                     // contract: a routing-only (witnesses-detached)
                     // artifact decodes, but serving witness queries from

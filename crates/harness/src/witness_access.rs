@@ -1,23 +1,25 @@
-//! Per-edge witness access cost: sharded offset index vs monolithic map.
+//! Per-edge witness access cost: the sharded offset index vs forcing
+//! the full witness map.
 //!
 //! The question behind the sharded witness layout
 //! (`docs/ARTIFACT_FORMAT.md` §"tag 6") is selective access: a replica
 //! serving a handful of witness-replay epochs needs the fault sets of a
-//! few edges, not all of them. A monolithic witness map makes the first
-//! `witnesses_for` decode the *entire* section; the sharded layout
-//! resolves two index offsets and decodes exactly one record —
-//! O(|F_e|) bytes per lookup.
+//! few edges, not all of them. Every artifact holds its witness map
+//! sharded, so a replica can either resolve two index offsets and
+//! decode exactly one record per lookup (`witnesses_for`, O(|F_e|)
+//! bytes), or force the whole map once (`witnesses`) and index into it.
 //!
-//! This module measures both layouts, open-to-k-lookups over zero-copy
+//! This module measures both paths, open-to-k-lookups over zero-copy
 //! opens of deterministically rebuilt artifacts, using the
 //! instrumented byte accounting on the frozen spanner itself
 //! ([`FrozenSpanner::witness_bytes_touched`]), and emits the committed
 //! `BENCH_10.json` artifact (schema [`SCHEMA`]) through the
 //! `witnessbench` binary. The hard gates: every probed edge's fault
-//! set must be bit-identical across layouts (and the eager decode),
-//! and — for full-scale documents, i.e. the committed `BENCH_10.json`
-//! — on the largest artifact the monolithic path must touch at least
-//! [`MIN_BYTES_RATIO`]× more witness bytes than the sharded path.
+//! set must be bit-identical across both paths and the construction's
+//! own witness sets, and — for full-scale documents, i.e. the committed
+//! `BENCH_10.json` — on the largest artifact forcing the full map must
+//! touch at least [`MIN_BYTES_RATIO`]× more witness bytes than the
+//! per-edge path.
 
 use crate::cell_seed;
 use crate::experiments::ExperimentContext;
@@ -30,20 +32,23 @@ use spanner_graph::{EdgeId, SharedBytes};
 use std::time::Instant;
 
 /// The witness-access artifact schema tag; bump when the layout changes.
-pub const SCHEMA: &str = "vft-spanner/witnessbench-1";
+/// `witnessbench-2` compares per-edge lookups with forcing the full map
+/// of one canonical artifact (`full_*` keys); `witnessbench-1` compared
+/// two witness layouts, one of which artifacts no longer use.
+pub const SCHEMA: &str = "vft-spanner/witnessbench-2";
 
 /// The stretch target every witnessbench spanner is built for.
 pub const STRETCH: u64 = 3;
 
 /// The committed gate: on the largest full-scale artifact, resolving
-/// the probe set through the monolithic layout must touch at least
-/// this many times more witness bytes than through the sharded index.
+/// the probe set by forcing the full witness map must touch at least
+/// this many times more witness bytes than through the per-edge index.
 pub const MIN_BYTES_RATIO: f64 = 5.0;
 
-/// How many per-edge lookups each cell drives through both layouts.
+/// How many per-edge lookups each cell drives through both paths.
 pub const PROBES: usize = 8;
 
-/// One witness-access cell: one artifact size, both layouts.
+/// One witness-access cell: one artifact size, both access paths.
 #[derive(Clone, Debug)]
 pub struct WitnessCell {
     /// Network size the artifact was built over.
@@ -52,30 +57,28 @@ pub struct WitnessCell {
     pub f: usize,
     /// Spanner edges (== witness records).
     pub edges: usize,
-    /// Per-edge lookups driven through each layout.
+    /// Per-edge lookups driven through each path.
     pub probes: usize,
-    /// Monolithic v2 artifact size in bytes.
-    pub mono_artifact_bytes: usize,
-    /// Sharded v2 artifact size in bytes.
-    pub sharded_artifact_bytes: usize,
-    /// Witness bytes touched resolving the probes, monolithic layout.
-    pub mono_touched: u64,
-    /// Witness bytes touched resolving the probes, sharded layout.
+    /// Artifact size in bytes.
+    pub artifact_bytes: usize,
+    /// Witness bytes touched resolving the probes by forcing the map.
+    pub full_touched: u64,
+    /// Witness bytes touched resolving the probes per edge.
     pub sharded_touched: u64,
-    /// Open-to-k-lookups wall time, monolithic (min over repeats).
-    pub mono_secs: f64,
-    /// Open-to-k-lookups wall time, sharded (min over repeats).
+    /// Open-to-k-lookups wall time, full map (min over repeats).
+    pub full_secs: f64,
+    /// Open-to-k-lookups wall time, per edge (min over repeats).
     pub sharded_secs: f64,
-    /// Whether every probed fault set was bit-identical across the
-    /// monolithic open, the sharded open, and the eager decode.
+    /// Whether every probed fault set was bit-identical across both
+    /// paths and the construction's witness sets.
     pub identical: bool,
 }
 
 impl WitnessCell {
-    /// Monolithic-over-sharded bytes-touched ratio, rounded the way the
+    /// Full-map-over-per-edge bytes-touched ratio, rounded the way the
     /// artifact records it.
     pub fn bytes_ratio(&self) -> f64 {
-        round2(self.mono_touched as f64 / self.sharded_touched.max(1) as f64)
+        round2(self.full_touched as f64 / self.sharded_touched.max(1) as f64)
     }
 }
 
@@ -107,12 +110,13 @@ fn probe_edges(edge_count: usize) -> Vec<EdgeId> {
         .collect()
 }
 
-/// Runs the witness-access sweep: one cell per artifact size, both
-/// layouts opened zero-copy and driven through the same probe set.
+/// Runs the witness-access sweep: one cell per artifact size, the
+/// artifact opened zero-copy and driven through the same probe set by
+/// both paths.
 pub fn sweep(ctx: &ExperimentContext, repeats: usize) -> Vec<WitnessCell> {
     // (n, radius, f): the largest cell doubles the fault budget — fatter
-    // witness records are exactly what the monolithic path decodes
-    // wholesale and the sharded index skips.
+    // witness records are exactly what forcing the full map decodes
+    // wholesale and the per-edge index skips.
     let sizes: Vec<(usize, f64, usize)> = ctx.pick(
         vec![(24, 0.5, 1)],
         vec![(48, 0.35, 1), (96, 0.3, 1)],
@@ -124,19 +128,27 @@ pub fn sweep(ctx: &ExperimentContext, repeats: usize) -> Vec<WitnessCell> {
         .map(|(cell, (n, radius, f))| {
             let mut rng = StdRng::seed_from_u64(cell_seed(19, cell as u64, 0));
             let g = random_geometric(n, radius, &mut rng);
-            let frozen = FtGreedy::new(&g, STRETCH).faults(f).run().freeze(&g);
-            let mono = frozen.to_v2().encode();
-            let sharded = frozen.to_v2_sharded().encode();
-            let edges = frozen.edge_count();
+            let ft = FtGreedy::new(&g, STRETCH).faults(f).run();
+            let bytes = ft.freeze(&g).encode();
+            let edges = ft.spanner().edge_count();
             let probes = probe_edges(edges);
-            // Aligned buffers are built once, outside the timer: they
-            // stand in for mmap(2) regions, whose setup cost is a
+            // The aligned buffer is built once, outside the timer: it
+            // stands in for an mmap(2) region, whose setup cost is a
             // syscall, not a byte copy.
-            let mono_shared = SharedBytes::copy_aligned(&mono);
-            let sharded_shared = SharedBytes::copy_aligned(&sharded);
-            let lookups = |shared: &SharedBytes| {
-                let mapped = FrozenSpanner::open(shared.clone()).expect("own v2 bytes open");
-                let spanner = mapped.into_inner();
+            let shared = SharedBytes::copy_aligned(&bytes);
+            let open = || {
+                FrozenSpanner::open(shared.clone())
+                    .expect("own bytes open")
+                    .into_inner()
+            };
+            let (full_secs, (full_touched, full_answers)) = best_of(repeats, || {
+                let spanner = open();
+                let all = spanner.witnesses().expect("own witness map decodes");
+                let answers: Vec<_> = probes.iter().map(|&e| all[e.index()].clone()).collect();
+                (spanner.witness_bytes_touched(), answers)
+            });
+            let (sharded_secs, (sharded_touched, sharded_answers)) = best_of(repeats, || {
+                let spanner = open();
                 let answers: Vec<_> = probes
                     .iter()
                     .map(|&e| {
@@ -146,27 +158,22 @@ pub fn sweep(ctx: &ExperimentContext, repeats: usize) -> Vec<WitnessCell> {
                     })
                     .collect();
                 (spanner.witness_bytes_touched(), answers)
-            };
-            let (mono_secs, (mono_touched, mono_answers)) =
-                best_of(repeats, || lookups(&mono_shared));
-            let (sharded_secs, (sharded_touched, sharded_answers)) =
-                best_of(repeats, || lookups(&sharded_shared));
+            });
             let reference: Vec<_> = probes
                 .iter()
-                .map(|&e| frozen.witnesses_for(e).expect("own witness record decodes"))
+                .map(|&e| ft.witnesses()[e.index()].clone())
                 .collect();
             WitnessCell {
                 n,
                 f,
                 edges,
                 probes: probes.len(),
-                mono_artifact_bytes: mono.len(),
-                sharded_artifact_bytes: sharded.len(),
-                mono_touched,
+                artifact_bytes: bytes.len(),
+                full_touched,
                 sharded_touched,
-                mono_secs,
+                full_secs,
                 sharded_secs,
-                identical: mono_answers == reference && sharded_answers == reference,
+                identical: full_answers == reference && sharded_answers == reference,
             }
         })
         .collect()
@@ -178,14 +185,10 @@ fn cell_json(cell: &WitnessCell) -> JsonValue {
         ("f", num(cell.f as f64)),
         ("edges_kept", num(cell.edges as f64)),
         ("probes", num(cell.probes as f64)),
-        ("mono_artifact_bytes", num(cell.mono_artifact_bytes as f64)),
-        (
-            "sharded_artifact_bytes",
-            num(cell.sharded_artifact_bytes as f64),
-        ),
-        ("mono_touched_bytes", num(cell.mono_touched as f64)),
+        ("artifact_bytes", num(cell.artifact_bytes as f64)),
+        ("full_touched_bytes", num(cell.full_touched as f64)),
         ("sharded_touched_bytes", num(cell.sharded_touched as f64)),
-        ("mono_us", num(round2(cell.mono_secs * 1e6))),
+        ("full_us", num(round2(cell.full_secs * 1e6))),
         ("sharded_us", num(round2(cell.sharded_secs * 1e6))),
         ("bytes_ratio", num(cell.bytes_ratio())),
         ("identical", JsonValue::Bool(cell.identical)),
@@ -199,7 +202,7 @@ pub fn artifact(scale_name: &str, repeats: usize, cells: &[WitnessCell]) -> Json
     let all_identical = cells.iter().all(|c| c.identical);
     let largest = cells
         .iter()
-        .max_by_key(|c| c.mono_artifact_bytes)
+        .max_by_key(|c| c.artifact_bytes)
         .expect("sweep emits at least one cell");
     obj([
         ("schema", s(SCHEMA)),
@@ -220,10 +223,7 @@ pub fn artifact(scale_name: &str, repeats: usize, cells: &[WitnessCell]) -> Json
             obj([
                 ("cells", num(cells.len() as f64)),
                 ("results_identical_all", JsonValue::Bool(all_identical)),
-                (
-                    "largest_mono_artifact_bytes",
-                    num(largest.mono_artifact_bytes as f64),
-                ),
+                ("largest_artifact_bytes", num(largest.artifact_bytes as f64)),
                 ("largest_bytes_ratio", num(largest.bytes_ratio())),
             ]),
         ),
@@ -231,10 +231,10 @@ pub fn artifact(scale_name: &str, repeats: usize, cells: &[WitnessCell]) -> Json
 }
 
 /// Validates a parsed witness-access artifact against the
-/// `witnessbench-1` schema: tag, host block, per-record keys and
+/// `witnessbench-2` schema: tag, host block, per-record keys and
 /// sanity, the bit-identity certification on every record, and — at
 /// **full scale only** — the committed gate: the largest artifact's
-/// monolithic-over-sharded bytes-touched ratio must reach
+/// full-map-over-per-edge bytes-touched ratio must reach
 /// [`MIN_BYTES_RATIO`]. Smoke/quick artifacts probe tiny witness maps
 /// where a handful of lookups *is* most of the section, so the floor
 /// is a property of the committed full-scale `BENCH_10.json`, not of
@@ -276,11 +276,10 @@ pub fn check_artifact(doc: &JsonValue) -> Result<(), String> {
             field(key)?;
         }
         for key in [
-            "mono_artifact_bytes",
-            "sharded_artifact_bytes",
-            "mono_touched_bytes",
+            "artifact_bytes",
+            "full_touched_bytes",
             "sharded_touched_bytes",
-            "mono_us",
+            "full_us",
             "sharded_us",
             "bytes_ratio",
         ] {
@@ -293,7 +292,7 @@ pub fn check_artifact(doc: &JsonValue) -> Result<(), String> {
         // hand-edited headline number fails here.
         let claimed = field("bytes_ratio")?;
         let derived =
-            round2(field("mono_touched_bytes")? / field("sharded_touched_bytes")?.max(1.0));
+            round2(field("full_touched_bytes")? / field("sharded_touched_bytes")?.max(1.0));
         if (claimed - derived).abs() > 0.011 {
             return Err(format!(
                 "record {i} claims bytes_ratio={claimed}, its counters say {derived}"
@@ -301,10 +300,10 @@ pub fn check_artifact(doc: &JsonValue) -> Result<(), String> {
         }
         if record.get("identical") != Some(&JsonValue::Bool(true)) {
             return Err(format!(
-                "record {i} does not certify identical fault sets across layouts"
+                "record {i} does not certify identical fault sets across access paths"
             ));
         }
-        let bytes = field("mono_artifact_bytes")?;
+        let bytes = field("artifact_bytes")?;
         if bytes > largest_bytes {
             largest_bytes = bytes;
             largest_ratio = claimed;
@@ -315,7 +314,7 @@ pub fn check_artifact(doc: &JsonValue) -> Result<(), String> {
         return Err("summary does not certify identical fault sets".into());
     }
     for (key, want) in [
-        ("largest_mono_artifact_bytes", largest_bytes),
+        ("largest_artifact_bytes", largest_bytes),
         ("largest_bytes_ratio", largest_ratio),
     ] {
         let claimed = summary
@@ -330,7 +329,7 @@ pub fn check_artifact(doc: &JsonValue) -> Result<(), String> {
     }
     if scale == "full" && largest_ratio < MIN_BYTES_RATIO {
         return Err(format!(
-            "largest artifact's monolithic/sharded bytes-touched ratio is \
+            "largest artifact's full-map/per-edge bytes-touched ratio is \
              {largest_ratio}x, below the committed {MIN_BYTES_RATIO}x witness-access gate"
         ));
     }
@@ -349,9 +348,9 @@ mod tests {
         let cells = sweep(&ctx, 1);
         assert_eq!(cells.len(), 1);
         assert!(cells.iter().all(|c| c.identical));
-        // The sharded path must already touch strictly fewer bytes than
-        // the monolithic force, even at smoke scale.
-        assert!(cells[0].sharded_touched < cells[0].mono_touched);
+        // The per-edge path must already touch strictly fewer bytes than
+        // forcing the full map, even at smoke scale.
+        assert!(cells[0].sharded_touched < cells[0].full_touched);
         let doc = artifact("smoke", 1, &cells);
         let text = format!("{doc}\n");
         let parsed = json::parse(&text).expect("emitted artifact parses");
@@ -373,7 +372,7 @@ mod tests {
         // force the honest ratio to exactly 1.00, then textually
         // inflate only the claimed bytes_ratio.
         let mut cooked = cells.clone();
-        cooked[0].sharded_touched = cooked[0].mono_touched;
+        cooked[0].sharded_touched = cooked[0].full_touched;
         let text = format!("{}", artifact("smoke", 1, &cooked));
         let tampered = text.replace("\"bytes_ratio\": 1", "\"bytes_ratio\": 99");
         assert_ne!(tampered, text, "ratio field must appear in the document");

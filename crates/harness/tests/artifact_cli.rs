@@ -122,67 +122,82 @@ fn sharded_cli_surface_round_trips_and_fails_closed() {
             .output()
             .expect("spanner-artifact must spawn")
     };
+    let ok = |out: &Output, what: &str| {
+        assert!(
+            out.status.success(),
+            "{what} stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+    let read = |name: &str| std::fs::read(dir.join(name)).unwrap();
 
-    // build --shard-witnesses emits a decodable v2 artifact that
+    // build writes the canonical layout: a decodable v2 artifact that
     // inspect reports as sharded, with index stats.
-    let built = run(&[
+    ok(
+        &run(&[
+            "build", "--family", "complete", "--n", "7", "--f", "1", "--out", "s.vfts",
+        ]),
         "build",
-        "--family",
-        "complete",
-        "--n",
-        "7",
-        "--f",
-        "1",
-        "--shard-witnesses",
-        "--out",
-        "s.vfts",
-    ]);
-    assert!(
-        built.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&built.stderr)
     );
     let inspected = run(&["inspect", "s.vfts"]);
-    assert!(inspected.status.success());
+    ok(&inspected, "inspect");
     let report = String::from_utf8_lossy(&inspected.stdout).into_owned();
     assert!(report.contains("(witnesses-sharded)"), "{report}");
     assert!(report.contains("witness-index"), "{report}");
     assert!(report.contains("witness index:"), "{report}");
     assert!(report.contains("sharded per-edge index"), "{report}");
+    assert!(!report.contains("imported"), "{report}");
 
-    // migrate --unshard ∘ migrate --shard is the byte identity, and a
-    // plain migrate of a sharded artifact preserves the layout.
-    assert!(run(&["migrate", "s.vfts", "--out", "u.vfts", "--unshard"])
-        .status
-        .success());
-    assert!(run(&["migrate", "u.vfts", "--out", "s2.vfts", "--shard"])
-        .status
-        .success());
-    let original = std::fs::read(dir.join("s.vfts")).unwrap();
+    // migrate is the byte identity on canonical input.
+    let migrated = run(&["migrate", "s.vfts", "--out", "s2.vfts"]);
+    ok(&migrated, "migrate canonical");
+    assert!(String::from_utf8_lossy(&migrated.stdout).contains("already canonical"));
+    let original = read("s.vfts");
     assert_eq!(
         original,
-        std::fs::read(dir.join("s2.vfts")).unwrap(),
-        "unshard ∘ shard must be the identity"
-    );
-    assert!(run(&["migrate", "s.vfts", "--out", "s3.vfts"])
-        .status
-        .success());
-    assert_eq!(
-        original,
-        std::fs::read(dir.join("s3.vfts")).unwrap(),
-        "plain migrate must preserve the sharded layout byte for byte"
+        read("s2.vfts"),
+        "migrate must not touch canonical bytes"
     );
 
-    // Both zero-copy and eager serve accept the sharded artifact.
+    // The two imported layouts: a committed v1 seed and a committed
+    // monolithic-witness v2 seed (the same construction as the v1 seed
+    // `complete6-f1-vertex`). Each inspects as an import and migrates
+    // to canonical bytes that migrate again to themselves.
+    for (seed, layout) in [
+        ("seed__ok__0375ad5c73b3bd68.bin", "v1"),
+        (
+            "seed__ok__88b44a6bfbf11955.bin",
+            "v2, monolithic witness map",
+        ),
+    ] {
+        let path = repo_path("fuzz/corpus").join(seed);
+        let path = path.to_str().unwrap();
+        let inspected = run(&["inspect", path]);
+        ok(&inspected, seed);
+        let report = String::from_utf8_lossy(&inspected.stdout).into_owned();
+        assert!(
+            report.contains(&format!("layout     {layout}: imported")),
+            "{report}"
+        );
+        ok(&run(&["migrate", path, "--out", "m.vfts"]), seed);
+        ok(&run(&["migrate", "m.vfts", "--out", "m2.vfts"]), seed);
+        let canonical = read("m.vfts");
+        assert_ne!(canonical, std::fs::read(path).unwrap(), "{seed}");
+        assert_eq!(
+            canonical,
+            read("m2.vfts"),
+            "{seed}: migrate must be idempotent"
+        );
+        assert!(String::from_utf8_lossy(&run(&["inspect", "m.vfts"]).stdout)
+            .contains("(witnesses-sharded)"));
+    }
+
+    // Both zero-copy and eager serve accept the canonical artifact.
     for extra in [&[][..], &["--in-place"][..]] {
         let mut args = vec!["serve", "s.vfts", "--epochs", "3", "--batch", "8"];
         args.extend_from_slice(extra);
         let served = run(&args);
-        assert!(
-            served.status.success(),
-            "serve {extra:?} stderr: {}",
-            String::from_utf8_lossy(&served.stderr)
-        );
+        ok(&served, &format!("serve {extra:?}"));
         // The load label names the path actually taken: zero-copy
         // exactly when the file was mapped, never on the aligned-copy
         // fallback or the eager decode.
@@ -193,39 +208,44 @@ fn sharded_cli_surface_round_trips_and_fails_closed() {
             "serve {extra:?} stdout: {stdout}"
         );
     }
-
-    // Conflicting flags are a usage error, not a panic or a silent pick.
-    let conflict = run(&[
-        "build",
-        "--detach-witnesses",
-        "--shard-witnesses",
-        "--out",
-        "x.vfts",
+    // A monolithic file opens in place by import, and says so; its
+    // rebuild cross-check runs against the imported canonical bytes.
+    let mono = repo_path("fuzz/corpus").join("seed__ok__88b44a6bfbf11955.bin");
+    let served = run(&[
+        "serve",
+        mono.to_str().unwrap(),
+        "--in-place",
+        "--epochs",
+        "3",
+        "--batch",
+        "8",
     ]);
-    assert!(!conflict.status.success());
-    assert!(String::from_utf8_lossy(&conflict.stderr).contains("mutually exclusive"));
-    let both = run(&["migrate", "s.vfts", "--shard", "--unshard"]);
-    assert!(!both.status.success());
-    assert!(String::from_utf8_lossy(&both.stderr).contains("mutually exclusive"));
+    ok(&served, "serve monolithic --in-place");
+    let stdout = String::from_utf8_lossy(&served.stdout);
+    assert!(
+        stdout.contains("imported into a canonical copy"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("zero-copy"), "{stdout}");
 
-    // Sharding a routing-only artifact is refused with a reason.
-    assert!(run(&[
-        "build",
-        "--family",
-        "complete",
-        "--n",
-        "7",
-        "--f",
-        "1",
-        "--detach-witnesses",
-        "--out",
-        "d.vfts",
-    ])
-    .status
-    .success());
-    let detached = run(&["migrate", "d.vfts", "--out", "ds.vfts", "--shard"]);
-    assert!(!detached.status.success());
-    assert!(String::from_utf8_lossy(&detached.stderr).contains("witnesses-detached"));
+    // Detaching keeps working, and the result inspects as routing-only.
+    ok(
+        &run(&[
+            "build",
+            "--family",
+            "complete",
+            "--n",
+            "7",
+            "--f",
+            "1",
+            "--detach-witnesses",
+            "--out",
+            "d.vfts",
+        ]),
+        "build --detach-witnesses",
+    );
+    assert!(String::from_utf8_lossy(&run(&["inspect", "d.vfts"]).stdout)
+        .contains("(witnesses-detached)"));
 
     // A skewed witness index fails closed across the process boundary
     // with the new stable code. The index is canonically the last

@@ -115,3 +115,29 @@ fn every_bench_binary_rejects_a_check_flag_without_a_value() {
         );
     }
 }
+
+#[test]
+fn removed_artifact_layout_flags_are_unknown_arguments() {
+    // Every artifact is written in one canonical layout, so the flags
+    // that picked another are gone: each is an ordinary unknown
+    // argument, and the usage no longer offers it.
+    let path = env!("CARGO_BIN_EXE_spanner-artifact");
+    let usage = String::from_utf8_lossy(&run(path, &["--help"]).stdout).into_owned();
+    for args in [
+        &["build", "--v2"][..],
+        &["build", "--shard-witnesses"][..],
+        &["migrate", "a.vfts", "--shard"][..],
+        &["migrate", "a.vfts", "--unshard"][..],
+    ] {
+        let flag = args[args.len() - 1];
+        assert!(!usage.contains(flag), "usage still offers {flag}: {usage}");
+        let out = run(path, args);
+        assert!(!out.status.success(), "{args:?} must be rejected");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with(&format!("spanner-artifact: unknown argument \"{flag}\"")),
+            "{args:?}: {stderr:?}"
+        );
+        assert!(stderr.contains("usage:"), "{args:?}: {stderr:?}");
+    }
+}

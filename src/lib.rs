@@ -91,11 +91,12 @@
 //!
 //! Construction is the expensive half (every kept edge pays an exact
 //! fault-oracle decision); serving is cheap. The frozen artifact
-//! therefore persists: [`FrozenSpanner::encode`](core::FrozenSpanner::encode)
-//! writes a versioned binary document (spec: `docs/ARTIFACT_FORMAT.md`)
-//! and [`FrozenSpanner::decode`](core::FrozenSpanner::decode) loads it
-//! back in any process — a serving replica never re-runs FT-greedy, and
-//! the loaded artifact answers bit-identically to the one it was encoded
+//! therefore persists: every artifact is held as one canonical binary
+//! container (spec: `docs/ARTIFACT_FORMAT.md`), which
+//! [`FrozenSpanner::encode`](core::FrozenSpanner::encode) hands out and
+//! [`FrozenSpanner::decode`](core::FrozenSpanner::decode) loads back in
+//! any process — a serving replica never re-runs FT-greedy, and the
+//! loaded artifact answers bit-identically to the one it was encoded
 //! from:
 //!
 //! ```
@@ -118,11 +119,10 @@
 //! let mut there = EpochServer::new(loaded).epoch(&outage);
 //! assert_eq!(here.route_batch(&pairs), there.route_batch(&pairs));
 //!
-//! // Zero-copy replicas: re-lay the artifact out as v2 once, then
-//! // open it **in place** — the adjacency serves straight out of the
-//! // (mapped or aligned) buffer, nothing is decoded up front.
-//! let v2 = FrozenSpanner::decode(&bytes)?.to_v2().encode();
-//! let mapped = FrozenSpanner::open(SharedBytes::copy_aligned(&v2))?;
+//! // Zero-copy replicas: open the same bytes **in place** — the
+//! // adjacency serves straight out of the (mapped or aligned) buffer,
+//! // nothing is decoded up front.
+//! let mapped = FrozenSpanner::open(SharedBytes::copy_aligned(&bytes))?;
 //! let mut zero_copy = EpochServer::from_mapped(mapped).epoch(&outage);
 //! assert_eq!(zero_copy.route_batch(&pairs), here.route_batch(&pairs));
 //!
